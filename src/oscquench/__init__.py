@@ -6,8 +6,9 @@ whose frequencies jump at t = 0, together with an independent quadrature
 oracle and an adaptive scale-factor ODE solver for general schedules.
 """
 
-from .core import (BETA_FLOOR, ModeQuench, ModeThermo, QuenchSpec, Temperature,
-                   beta_star, mode_thermo, normal_modes, partition_single, purity_single)
+from .core import (BETA_FLOOR, ModeQuench, ModeThermo, QuenchSpec, Temperature, Widths,
+                   beta_star, mode_thermo, mode_widths, normal_modes, partition_single,
+                   purity_single)
 from .ermakov import (ErmakovSolution, FrequencySchedule, gamma_phase, solve_euclidean,
                       solve_real, sudden_phase_real, sudden_scale_real)
 from .errors import (CausticError, DomainError, NonFactorizableError, NumericalFailureError)
@@ -18,6 +19,7 @@ from .negativity import (ConstFreqPT, CriticalTemp, PTMoments, boundary_g, check
                          critical_temperature, critical_temperature_sqm, g_inverse,
                          negativity, negativity_for_quench, pt_moments, pt_spectrum_const,
                          sigma_for_quench)
+from .observables import Ratios, ladder_ratios, observables
 from .oracle import (MehlerCheck, NumericSpectrum, QuadratureGrid, kernel_matrix,
                      mehler_check, nystrom_spectrum, trace_power)
 from .spectra import (BipartiteSpectralData, EntropyReport, SpectralData1D,

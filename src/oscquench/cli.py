@@ -1,9 +1,10 @@
 """Config-driven temperature sweeps, figure presets and CSV emission.
 
 Output files carry a ``#``-prefixed provenance block (version, prefactor
-convention, config echo) above the CSV header.  Rows are computed as a pure
-map over the temperature grid and collected in input order, so the bytes do
-not depend on the worker count.
+convention, config echo) above the CSV header.  Every curve and sweep column
+comes from :func:`oscquench.observables.observables`, evaluated as arrays
+over the whole temperature grid in one thread; the worker-count setting is
+accepted and ignored, so the bytes cannot depend on it.
 """
 
 from __future__ import annotations
@@ -12,19 +13,17 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .core import ModeQuench, QuenchSpec, beta_star, mode_thermo, normal_modes, purity_single
+from .core import ModeQuench, QuenchSpec, beta_star, mode_widths, normal_modes, purity_single
+from .core import mode_thermo  # noqa: F401  (unused here; bench/test_bench.py looks it up on this module)
 from .errors import DomainError, NumericalFailureError
-from .kernels import thermal_rho_coupled
-from .negativity import (boundary_g, check_separable, critical_temperature,
-                         critical_temperature_sqm, negativity, pt_moments,
-                         sigma_for_quench)
-from .spectra import mutual_information, renyi_entropy, von_neumann_entropy
+from .negativity import boundary_g, check_separable, critical_temperature, critical_temperature_sqm
+from .observables import observables
+from .spectra import von_neumann_entropy
 
 A_CONVENTION_NOTE = ("prefactor exponent A = (wf^2 - wi^2) sinh(2 wf beta) / (4 wf b^2)"
                      " (trace-preserving normalisation)")
@@ -149,68 +148,31 @@ def _observable_columns(observables) -> list[str]:
     return cols
 
 
-def _point_values(spec: QuenchSpec, t: float, observables, tc_value) -> tuple[dict, list[str]]:
-    """All requested observables at one temperature; failures become flags."""
-    values: dict = {}
-    flags: list[str] = []
-    beta = 1.0 / t
-    m1, m2 = normal_modes(spec)
-    try:
-        mt1, mt2 = mode_thermo(m1, beta), mode_thermo(m2, beta)
-    except DomainError as exc:
-        for obs in observables:
-            values[_observable_columns([obs])[0]] = None
-        flags.append(f"domain:{exc}")
-        return values, flags
-    xi1, xi2 = mt1.xi, mt2.xi
-    rho = None
-    for obs in observables:
-        col = _observable_columns([obs])[0]
-        try:
-            if obs == "purity":
-                values[col] = purity_single(mt1) * purity_single(mt2)
-            elif obs == "von_neumann":
-                values[col] = von_neumann_entropy(xi1) + von_neumann_entropy(xi2)
-            elif obs.startswith("renyi:"):
-                alpha = float(obs.split(":", 1)[1])
-                values[col] = renyi_entropy(xi1, alpha) + renyi_entropy(xi2, alpha)
-            elif obs == "mutual_info":
-                rho = rho if rho is not None else thermal_rho_coupled(mt1, mt2)
-                values[col] = mutual_information(rho).mutual
-            elif obs == "negativity":
-                mom = pt_moments(sigma_for_quench(spec, beta))
-                values[col] = negativity(mom.zeta1, mom.zeta2)
-            elif obs == "tc":
-                values[col] = tc_value
-        except (DomainError, NumericalFailureError) as exc:
-            values[col] = None
-            flags.append(f"{col}:{type(exc).__name__}")
-    return values, flags
-
-
 def run_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResult:
-    """Evaluate all observables on the temperature grid (deterministic order)."""
+    """Evaluate all observables on the temperature grid.
+
+    ``threads`` (like ``cfg.threads``) is accepted and ignored: the grid is
+    evaluated as arrays, which leaves a thread pool nothing to share.
+    """
     temps = cfg.temperatures()
-    tc_value = None
+    values, flags = observables(cfg.quench, temps, [o for o in cfg.observables if o != "tc"])
     if "tc" in cfg.observables:
         m1, m2 = normal_modes(cfg.quench)
         if cfg.quench.is_constant:
             tc_value = critical_temperature(m1.omega_i, m2.omega_i).tc_exact
         else:
             tc_value = critical_temperature_sqm(cfg.quench)
-    workers = threads if threads is not None else cfg.threads
-    workers = workers if workers > 0 else None
-
-    def one(t: float) -> dict:
-        values, flags = _point_values(cfg.quench, t, cfg.observables, tc_value)
+        values["tc"] = np.full(len(temps), tc_value)
+    obs_columns = _observable_columns(cfg.observables)
+    cells = {col: values[name].tolist() for name, col in zip(cfg.observables, obs_columns)}
+    rows = []
+    for i, t in enumerate(temps.tolist()):
         row = {"T": t, "beta": 1.0 / t}
-        row.update(values)
-        row["warnings"] = ";".join(flags)
-        return row
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(one, temps))
-    columns = ["T", "beta", *_observable_columns(cfg.observables), "warnings"]
+        for col in obs_columns:
+            row[col] = None if flags[i] else cells[col][i]
+        row["warnings"] = flags[i]
+        rows.append(row)
+    columns = ["T", "beta", *obs_columns, "warnings"]
     provenance = [f"oscquench {__version__}",
                   f"a_convention: {A_CONVENTION_NOTE}",
                   f"config: {json.dumps(cfg.to_dict(), sort_keys=True)}"]
@@ -263,47 +225,19 @@ def _curve_csv(path, header_cols, rows, comments) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _single_mode_curve(omega_i, omega_f, kind, temps):
-    rows = []
-    for t in temps:
-        mt = mode_thermo(ModeQuench(omega_i, omega_f), 1.0 / t)
-        val = purity_single(mt) if kind == "purity" else von_neumann_entropy(mt.xi)
-        rows.append((t, val))
-    return rows
+def _tc_rows(k0: float, js: np.ndarray) -> list[tuple]:
+    """(J, exact T_c, approximate T_c) of the constant-frequency pair (k0, J), per J of a 1-d array."""
+    tc = critical_temperature(np.full(js.shape, math.sqrt(k0)), np.sqrt(k0 + 2 * js))
+    return list(zip(js.tolist(), tc.tc_exact.tolist(), tc.tc_approx.tolist()))
 
 
-def _coupled_curve(spec: QuenchSpec, kind, temps):
-    rows = []
-    for t in temps:
-        beta = 1.0 / t
-        m1, m2 = normal_modes(spec)
-        mt1, mt2 = mode_thermo(m1, beta), mode_thermo(m2, beta)
-        if kind == "purity":
-            val = purity_single(mt1) * purity_single(mt2)
-        elif kind == "von_neumann":
-            val = von_neumann_entropy(mt1.xi) + von_neumann_entropy(mt2.xi)
-        elif kind == "mutual_info":
-            val = mutual_information(thermal_rho_coupled(mt1, mt2)).mutual
-        else:
-            mom = pt_moments(sigma_for_quench(spec, beta))
-            val = negativity(mom.zeta1, mom.zeta2)
-        rows.append((t, val))
-    return rows
-
-
-def _negativity_at_zero_t(spec: QuenchSpec, beta_start: float) -> float:
-    """N in the beta -> infinity limit, doubled until |dN/N| < 1e-4."""
-    beta = max(beta_start, 1.0)
-    mom = pt_moments(sigma_for_quench(spec, beta))
-    prev = negativity(mom.zeta1, mom.zeta2)
-    for _ in range(60):
-        beta *= 2.0
-        mom = pt_moments(sigma_for_quench(spec, beta))
-        cur = negativity(mom.zeta1, mom.zeta2)
-        if prev > 0 and abs(cur - prev) / prev < 1e-4:
-            return cur
-        prev = cur
-    raise NumericalFailureError("negativity zero-temperature limit did not converge")
+def _negativity_at_zero_t(spec: QuenchSpec) -> float:
+    """N in the beta -> infinity limit: a+- -> omega_f, so N = sqrt(w_max,f / w_min,f) - 1."""
+    m1, m2 = normal_modes(spec)
+    if min(beta_star(m1), beta_star(m2)) < math.inf:
+        raise DomainError(f"downward quench {spec} has no zero-temperature limit: beta < beta*")
+    w_min, w_max = sorted((m1.omega_f, m2.omega_f))
+    return math.sqrt(w_max / w_min) - 1.0
 
 
 def figure_preset(name: str, out_dir, points: int = 400) -> list[str]:
@@ -322,58 +256,54 @@ def figure_preset(name: str, out_dir, points: int = 400) -> list[str]:
         _curve_csv(path, cols, rows, base + extra)
         paths.append(path)
 
+    def curve(spec, kind):
+        return list(zip(temps.tolist(), observables(spec, temps, [kind])[0][kind].tolist()))
+
     if name in ("fig1a", "fig1b"):
         kind = "purity" if name == "fig1a" else "von_neumann"
         for omega in (3.0, 5.0, 7.0):
-            rows = _single_mode_curve(3.0, omega, kind, temps)
-            emit(f"{name}_omega{omega:g}.csv", ["T", kind],
-                 rows, [f"single mode, omega_i=3, omega_f={omega:g}"])
+            w = mode_widths(ModeQuench(3.0, omega), 1.0 / temps)
+            vals = purity_single(w) if kind == "purity" else von_neumann_entropy(w.xi)
+            emit(f"{name}_omega{omega:g}.csv", ["T", kind], list(zip(temps.tolist(), vals.tolist())),
+                 [f"single mode, omega_i=3, omega_f={omega:g}"])
     elif name in ("fig2a", "fig2b", "fig2c"):
         kind = {"fig2a": "purity", "fig2b": "von_neumann", "fig2c": "mutual_info"}[name]
         for label, spec in (("quench6", QuenchSpec(3, 6, 3, 6)),
                             ("quench9", QuenchSpec(3, 9, 3, 9)),
                             ("const3", QuenchSpec(3, 3, 3, 3))):
-            rows = _coupled_curve(spec, kind, temps)
-            emit(f"{name}_{label}.csv", ["T", kind], rows,
+            emit(f"{name}_{label}.csv", ["T", kind], curve(spec, kind),
                  [f"coupled pair, k0 {spec.k0_i:g}->{spec.k0_f:g}, J {spec.j_i:g}->{spec.j_f:g}"])
     elif name in ("fig3a", "fig3b"):
         js = (1.0, 5.0, 10.0) if name == "fig3a" else (-0.45, -0.35, -0.2)
         for j in js:
             spec = QuenchSpec(1.0, 1.0, j, j)
-            rows = _coupled_curve(spec, "negativity", temps)
-            emit(f"{name}_J{j:g}.csv", ["T", "negativity"], rows, [f"constant k0=1, J={j:g}"])
+            emit(f"{name}_J{j:g}.csv", ["T", "negativity"], curve(spec, "negativity"),
+                 [f"constant k0=1, J={j:g}"])
     elif name == "fig4a":
         xs = np.linspace(0.05, 5.0, points)
-        upper = [(x, x * boundary_g(x)) for x in xs]
+        upper = list(zip(xs.tolist(), (xs * boundary_g(xs)).tolist()))
         emit("fig4a_upper_boundary.csv", ["x", "y"], upper, ["upper separability boundary y(x)"])
         lower = [(y, x) for x, y in upper]
         emit("fig4a_lower_boundary.csv", ["x", "y"], lower, ["lower boundary (mirror of upper)"])
-        dashed = [(x, x / math.tanh(x)) for x in xs]
+        dashed = list(zip(xs.tolist(), (xs / np.tanh(xs)).tolist()))
         emit("fig4a_dashed.csv", ["x", "y"], dashed, ["approximation y = x coth x"])
-        gs = np.linspace(0.05, 3.0, 61)
-        mask = [(x, y, 1.0 if check_separable(2 * x, 2 * y, 1.0) else 0.0)
-                for x in gs for y in gs]
+        gx, gy = np.meshgrid(np.linspace(0.05, 3.0, 61), np.linspace(0.05, 3.0, 61), indexing="ij")
+        separable = check_separable(2 * gx, 2 * gy, 1.0).astype(float)
+        mask = list(zip(gx.ravel().tolist(), gy.ravel().tolist(), separable.ravel().tolist()))
         emit("fig4a_mask.csv", ["x", "y", "separable"], mask,
              ["separability mask on a 61x61 grid (x = omega1 beta/2, y = omega2 beta/2)"])
     elif name == "fig4b":
-        js = np.linspace(0.5, 10.0, 200)
-        rows = []
-        for j in js:
-            tc = critical_temperature(1.0, math.sqrt(1 + 2 * j))
-            rows.append((j, tc.tc_exact, tc.tc_approx))
-        emit("fig4b_tc.csv", ["J", "tc_exact", "tc_approx"], rows, ["k0 = 1"])
+        emit("fig4b_tc.csv", ["J", "tc_exact", "tc_approx"], _tc_rows(1.0, np.linspace(0.5, 10.0, 200)),
+             ["k0 = 1"])
     else:  # fig5a, fig5b
         if name == "fig5a":
             settings = [(f"k0f{k:g}", QuenchSpec(1.0, k, 5.0, 5.0)) for k in (1.0, 20.0, 40.0)]
         else:
             settings = [(f"Jf{j:g}", QuenchSpec(1.0, 1.0, 5.0, j)) for j in (5.0, 25.0, 45.0)]
         for label, spec in settings:
-            n_inf = _negativity_at_zero_t(spec, 1.0 / temps[0])
-            rows = []
-            for t in temps:
-                mom = pt_moments(sigma_for_quench(spec, 1.0 / t))
-                rows.append((t, negativity(mom.zeta1, mom.zeta2) / n_inf))
-            emit(f"{name}_{label}.csv", ["T", "negativity_ratio"], rows,
+            n_inf = _negativity_at_zero_t(spec)
+            ratio = observables(spec, temps, ["negativity"])[0]["negativity"] / n_inf
+            emit(f"{name}_{label}.csv", ["T", "negativity_ratio"], list(zip(temps.tolist(), ratio.tolist())),
                  [f"k0 {spec.k0_i:g}->{spec.k0_f:g}, J {spec.j_i:g}->{spec.j_f:g}; "
                   f"normalised by the zero-temperature limit N = {_fmt(n_inf)}"])
     return paths
@@ -385,7 +315,8 @@ def figure_preset(name: str, out_dir, points: int = 400) -> list[str]:
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="oscquench",
                                  description="Thermal quantities of suddenly quenched coupled oscillators")
-    ap.add_argument("--threads", type=int, default=0, help="worker threads (0 = auto)")
+    ap.add_argument("--threads", type=int, default=0,
+                    help="accepted for compatibility and ignored: sweeps run as array code in one thread")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sweep", help="run a temperature sweep from a JSON config")
@@ -425,8 +356,7 @@ def main(argv=None) -> int:
             except (OSError, json.JSONDecodeError, DomainError, ValueError) as exc:
                 print(f"config error: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
-            threads = args.threads if args.threads > 0 else None
-            result = run_sweep(cfg, threads=threads)
+            result = run_sweep(cfg)
             result.write(args.out)
             n_flagged = sum(1 for r in result.rows if r["warnings"])
             if n_flagged == len(result.rows):
@@ -448,15 +378,12 @@ def main(argv=None) -> int:
         if args.points < 1 or args.j_min > args.j_max:
             print("config error: need points >= 1 and j_min <= j_max", file=sys.stderr)
             return EXIT_CONFIG
-        rows = []
-        for j in np.linspace(args.j_min, args.j_max, args.points):
-            if args.k0 + 2 * j <= 0:
-                continue
-            tc = critical_temperature(math.sqrt(args.k0), math.sqrt(args.k0 + 2 * j))
-            rows.append((j, tc.tc_exact, tc.tc_approx))
-        if not rows:
+        js = np.linspace(args.j_min, args.j_max, args.points)
+        js = js[args.k0 + 2 * js > 0]
+        if not js.size:
             print("domain error: no coupling in range keeps both modes real", file=sys.stderr)
             return EXIT_DOMAIN
+        rows = _tc_rows(args.k0, js)
         _curve_csv(args.out, ["J", "tc_exact", "tc_approx"], rows,
                    [f"oscquench {__version__}", f"a_convention: {A_CONVENTION_NOTE}",
                     f"k0 = {args.k0:g}"])

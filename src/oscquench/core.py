@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -135,6 +138,11 @@ def beta_star(mode: ModeQuench) -> float:
     return math.acosh((wi * wi + wf * wf) / (wi * wi - wf * wf)) / (2 * wf)
 
 
+def _scalar_or_array(v: np.ndarray):
+    """A 0-d result as a Python float, anything else as the array."""
+    return float(v) if v.ndim == 0 else v
+
+
 def _check_beta(mode: ModeQuench, beta: float) -> None:
     if not beta > 0:
         raise DomainError(f"beta must be positive, got {beta}")
@@ -149,60 +157,90 @@ def _check_beta(mode: ModeQuench, beta: float) -> None:
         )
 
 
-def mode_thermo(mode: ModeQuench, beta: float) -> ModeThermo:
-    """Evaluate all Euclidean quantities of one quenched mode at ``beta``.
-
-    The formulas are arranged so that nothing overflows for arbitrarily
-    large ``omega_f * beta`` (tanh/sech based ratios); the constant-frequency
-    case short-circuits to b = 1, Gamma_E = omega * beta, A = 0 exactly.
-    """
-    _check_beta(mode, beta)
-    wi, wf = mode.omega_i, mode.omega_f
-
-    if mode.is_constant:
-        w = wi
-        half = w * beta / 2
-        th = math.tanh(half)
-        a_minus = w * th
-        a_plus = w / th
-        b, gamma, a_cap = 1.0, w * beta, 0.0
-        xi = math.exp(-w * beta)
-        eps = w
-    else:
-        x = wf * beta
-        dw2 = wf * wf - wi * wi
-        sw2 = wf * wf + wi * wi
-        sech2x = 1.0 / math.cosh(2 * x) if 2 * x < 710 else 0.0
-        den = dw2 + sw2 * sech2x
-        inv_b2 = 2 * wf * wf * sech2x / den
-        b = math.sqrt(1.0 / inv_b2) if inv_b2 > 0 else math.inf
-        inv_b = math.sqrt(inv_b2)
-        # A = dw2 * sinh(2x) / (4 wf b^2), written with bounded factors only
-        a_cap = 0.5 * wf * dw2 * math.tanh(2 * x) / den
-        # Gamma_E = artanh((wi/wf) tanh x); the log form keeps the argument
-        # of atanh away from 1 when wi ~ wf and x is large
-        t = math.tanh(x)
-        num_m = (wf - wi) + 2 * wi / (math.exp(2 * x) + 1) if x < 350 else (wf - wi)
-        gamma = 0.5 * math.log((wf + wi * t) / num_m)
-        sh, ch = math.sinh(gamma), math.cosh(gamma)
-        common = a_cap + wi / (2 * sh) * (1 + inv_b2) * ch
-        gap = wi * inv_b / sh
-        a_plus = common + gap
-        a_minus = common - gap
-        xi = 2 * gap / (math.sqrt(a_plus) + math.sqrt(a_minus)) ** 2
-        eps = math.sqrt(a_plus * a_minus)
-
+def _check_widths(a_plus: float, a_minus: float, beta: float) -> None:
     # a+ > a- > 0 mathematically; the gap ~ exp(-omega_f beta) underflows to
     # equality at very low temperature, which is accepted
     if not a_plus >= a_minus > 0:
         raise DomainError(f"Gaussian widths out of order: a+={a_plus}, a-={a_minus} at beta={beta}")
-    return ModeThermo(mode=mode, beta=beta, b=b, gamma_e=gamma, a_cap=a_cap,
-                      a_plus=a_plus, a_minus=a_minus, xi=xi, eps=eps)
 
 
-def purity_single(mt: ModeThermo) -> float:
-    """Purity tr(rho^2) = sqrt(a-/a+) of the one-mode thermal state."""
-    return math.sqrt(mt.a_minus / mt.a_plus)
+def in_domain(mode: ModeQuench, beta) -> np.ndarray:
+    """Elementwise: the inverse temperatures that ``_check_beta`` accepts."""
+    beta = np.asarray(beta, dtype=float)
+    return (beta >= BETA_FLOOR) & (beta < beta_star(mode) * (1 - BETA_STAR_MARGIN))
+
+
+class Widths(NamedTuple):
+    """Per-mode Euclidean quantities over an array of inverse temperatures."""
+
+    b: np.ndarray
+    gamma_e: np.ndarray
+    a_cap: np.ndarray
+    a_plus: np.ndarray
+    a_minus: np.ndarray
+    xi: np.ndarray
+
+
+def mode_widths(mode: ModeQuench, beta) -> Widths:
+    """Evaluate the Euclidean quantities of one quenched mode over a beta array.
+
+    The formulas are arranged so that nothing overflows for arbitrarily
+    large ``omega_f * beta`` (tanh/sech based ratios); the constant-frequency
+    case short-circuits to b = 1, Gamma_E = omega * beta, A = 0 exactly.
+    Nothing is checked: entries outside the domain (see ``in_domain``) come
+    out as nan or as meaningless numbers.
+    """
+    beta = np.asarray(beta, dtype=float)
+    wi, wf = mode.omega_i, mode.omega_f
+    with np.errstate(all="ignore"):
+        if mode.is_constant:
+            th = np.tanh(wi * beta / 2)
+            return Widths(b=np.ones_like(beta), gamma_e=wi * beta, a_cap=np.zeros_like(beta),
+                          a_plus=wi / th, a_minus=wi * th, xi=np.exp(-wi * beta))
+        x = wf * beta
+        dw2 = wf * wf - wi * wi
+        sw2 = wf * wf + wi * wi
+        sech2x = np.where(2 * x < 710, 1.0 / np.cosh(2 * x), 0.0)
+        den = dw2 + sw2 * sech2x
+        inv_b2 = 2 * wf * wf * sech2x / den
+        b = np.where(inv_b2 > 0, np.sqrt(1.0 / inv_b2), np.inf)
+        inv_b = np.sqrt(inv_b2)
+        # A = dw2 * sinh(2x) / (4 wf b^2), written with bounded factors only
+        a_cap = 0.5 * wf * dw2 * np.tanh(2 * x) / den
+        # Gamma_E = artanh((wi/wf) tanh x); the log form keeps the argument
+        # of atanh away from 1 when wi ~ wf and x is large
+        t = np.tanh(x)
+        num_m = np.where(x < 350, (wf - wi) + 2 * wi / (np.exp(2 * x) + 1), wf - wi)
+        gamma = 0.5 * np.log((wf + wi * t) / num_m)
+        sh, ch = np.sinh(gamma), np.cosh(gamma)
+        common = a_cap + wi / (2 * sh) * (1 + inv_b2) * ch
+        gap = wi * inv_b / sh
+        a_plus = common + gap
+        a_minus = common - gap
+        xi = 2 * gap / (np.sqrt(a_plus) + np.sqrt(a_minus)) ** 2
+    return Widths(b=b, gamma_e=gamma, a_cap=a_cap, a_plus=a_plus, a_minus=a_minus, xi=xi)
+
+
+def mode_thermo(mode: ModeQuench, beta: float) -> ModeThermo:
+    """Evaluate all Euclidean quantities of one quenched mode at ``beta``.
+
+    Scalar, checked form of ``mode_widths``: raises ``DomainError`` outside
+    the domain or if the widths come out of order.
+    """
+    _check_beta(mode, beta)
+    w = Widths(*(float(v) for v in mode_widths(mode, beta)))
+    _check_widths(w.a_plus, w.a_minus, beta)
+    eps = mode.omega_i if mode.is_constant else math.sqrt(w.a_plus * w.a_minus)
+    return ModeThermo(mode=mode, beta=beta, b=w.b, gamma_e=w.gamma_e, a_cap=w.a_cap,
+                      a_plus=w.a_plus, a_minus=w.a_minus, xi=w.xi, eps=eps)
+
+
+def purity_single(mt):
+    """Purity tr(rho^2) = sqrt(a-/a+) of the one-mode thermal state.
+
+    Takes a ``ModeThermo`` or, elementwise, ``Widths``.
+    """
+    return np.sqrt(mt.a_minus / mt.a_plus)
 
 
 def partition_single(mt: ModeThermo) -> float:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import ModeQuench, beta_star
 from .errors import DomainError, NumericalFailureError
@@ -178,6 +177,10 @@ def _integrate(rhs, t_end, tol, max_step, kind, omega0):
         raise DomainError(f"integration endpoint must be positive, got {t_end}")
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise DomainError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
+    # imported here, not at module level: scipy costs the CLI, which never
+    # integrates, most of its start-up time and memory
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(rhs, (0.0, t_end), [1.0, 0.0, 0.0], method="RK45",
                     rtol=tol, atol=tol * 1e-2, max_step=max_step)
     if not sol.success:

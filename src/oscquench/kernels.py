@@ -61,15 +61,6 @@ class QuadraticKernel:
         if not self.norm > 0:
             raise DomainError(f"norm must be positive, got {self.norm}")
 
-    def diagonal_form(self) -> np.ndarray:
-        """Quadratic form governing the trace integral, over x_out = x_in."""
-        d = self.dim
-        qoo, qoi, qii = self.q[:d, :d], self.q[:d, d:], self.q[d:, d:]
-        return qoo + qii + qoi + qoi.T
-
-    def is_trace_class(self) -> bool:
-        return bool(np.all(np.linalg.eigvalsh(self.diagonal_form()) > 0))
-
     def evaluate(self, out_coords, in_coords):
         """Pointwise kernel value; coordinates broadcast elementwise."""
         out = np.atleast_1d(np.asarray(out_coords, dtype=float))

@@ -1,11 +1,15 @@
 """Partial-transpose spectrum, negativity, separability boundary and T_c.
 
-At constant frequencies the partial transpose of the two-mode thermal state
-factorises and its geometric ratios zeta1, zeta2 are elementary; a negative
-ratio signals entanglement.  For the sudden quench the spectrum does not
-factorise, but tr sigma^2 and tr sigma^3 are rational in the exponent
-coefficients and determine (zeta1, zeta2) of the geometric-ladder ansatz; that route reproduces the constant-frequency ratios exactly and is
-validated against quadrature spectra in the tests.
+The partial transpose of the two-mode thermal state factorises, at constant
+frequencies and after a sudden quench alike, into geometric ladders with
+ratios zeta1 = r(a+_2, a-_1) and zeta2 = r(a+_1, a-_2), where
+r(p, m) = (sqrt p - sqrt m) / (sqrt p + sqrt m); a negative ratio signals
+entanglement (the covariance-matrix PPT criterion, Simon, PRL 84, 2726
+(2000)).  :mod:`oscquench.observables` evaluates these ratios over whole
+temperature grids.  The trace-moment route kept here (``pt_moments``:
+tr sigma^2 and tr sigma^3 of the transposed kernel determine zeta1, zeta2)
+shares no formula with it and serves as an independent cross-check; its
+error grows like ~1e-14 / |zeta1 zeta2| near the separability boundary.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuenchSpec, mode_thermo, normal_modes
+from .core import (BETA_STAR_MARGIN, QuenchSpec, _scalar_or_array, beta_star, mode_thermo,
+                   mode_widths, normal_modes)
 from .errors import DomainError, NumericalFailureError
 from .kernels import QuadraticKernel, partial_transpose, thermal_rho_coupled
 
@@ -77,22 +82,22 @@ def pt_spectrum_const(omega1: float, omega2: float, beta: float) -> ConstFreqPT:
                        nu_minus=nu_m, eps1=eps1, eps2=eps2, zeta1=zeta1, zeta2=zeta2)
 
 
-def negativity(zeta1: float, zeta2: float) -> float:
+def negativity(zeta1, zeta2):
     """Sum of |eigenvalues| minus one of the geometric PT ladder.
 
-    Zero exactly when both ratios are non-negative (separable); returns
-    ``inf`` when a negative ratio reaches -1 (zero-temperature divergence).
+    Zero exactly when both ratios are non-negative (separable); ``inf`` when
+    a negative ratio reaches -1 (zero-temperature divergence).  Takes floats
+    or, elementwise, arrays.
     """
     n = 1.0
-    for z in (zeta1, zeta2):
-        if abs(z) > 1 + 1e-12:
-            raise DomainError(f"|zeta| must not exceed 1, got {z}")
-        if z < 0:
-            az = min(abs(z), 1.0)
-            if 1 - az < 1e-300:
-                return math.inf
-            n *= (1 + az) / (1 - az)
-    return n - 1.0
+    for zeta in (zeta1, zeta2):
+        z = np.asarray(zeta, dtype=float)
+        if np.any(np.abs(z) > 1 + 1e-12):
+            raise DomainError(f"|zeta| must not exceed 1, got {zeta}")
+        az = np.minimum(np.abs(z), 1.0)
+        with np.errstate(divide="ignore"):
+            n = n * np.where(z < 0, (1 + az) / (1 - az), 1.0)
+    return _scalar_or_array(n - 1.0)
 
 
 def pt_moments(sigma: QuadraticKernel) -> PTMoments:
@@ -147,82 +152,98 @@ def negativity_for_quench(spec: QuenchSpec, beta: float) -> float:
     return negativity(mom.zeta1, mom.zeta2)
 
 
-def check_separable(omega1: float, omega2: float, beta: float) -> bool:
-    """Separability of the constant-frequency thermal state.
+def check_separable(omega1, omega2, beta):
+    """Separability of the constant-frequency thermal state (elementwise on arrays).
 
     Equivalent to zeta1 >= 0 and zeta2 >= 0: with x = omega1 beta / 2 and
     y = omega2 beta / 2, both x tanh x <= y coth y and x coth x >= y tanh y.
     """
-    x, y = omega1 * beta / 2, omega2 * beta / 2
-    first = x * math.tanh(x) - y / math.tanh(y) <= 0
-    second = x / math.tanh(x) - y * math.tanh(y) >= 0
-    return first and second
+    x, y = np.asarray(omega1 * beta / 2), np.asarray(omega2 * beta / 2)
+    first = x * np.tanh(x) - y / np.tanh(y) <= 0
+    second = x / np.tanh(x) - y * np.tanh(y) >= 0
+    sep = first & second
+    return bool(sep) if sep.ndim == 0 else sep
 
 
-def _upper_boundary_y(x: float, tol: float) -> float:
-    """Solve Y tanh Y = x coth x (upper separability boundary) by bisection."""
-    target = x / math.tanh(x)
-    f = lambda y: y * math.tanh(y) - target
-    lo, hi = 0.0, max(2.0 * x, 2.0)
-    while f(hi) < 0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise NumericalFailureError(f"failed to bracket boundary above x = {x}")
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if f(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol * max(1.0, hi):
+# Fractions of a bracket at which each pass of the root search evaluates f,
+# and a cap on the passes.  A pass narrows a bracket 32-fold, so a bracket
+# reaches the spacing of doubles, where it stops shrinking, well within the cap.
+_SCAN = np.linspace(0.0, 1.0, 33)
+_MAX_PASSES = 64
+
+
+def _last_crossing(f, lo, hi, tol: float = 0.0):
+    """Highest x in [lo, hi] where f falls from > 0 to <= 0, per element of lo, hi.
+
+    f must be elementwise on arrays, and f(hi) <= 0.  Each pass evaluates f
+    at evenly spaced points of every bracket and keeps the cell after the
+    last positive value; passes stop once every cell is narrower than
+    tol * max(1, |x|) or has stopped shrinking.  Returns the midpoint of the
+    final cell, or nan where f <= 0 at every point of the first pass.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    last_cell = len(_SCAN) - 2
+    found = None
+    for _ in range(_MAX_PASSES):
+        width = hi - lo
+        pos = f(lo[..., None] + width[..., None] * _SCAN[:-1]) > 0
+        any_pos = pos.any(axis=-1)
+        if found is None:
+            found = any_pos
+        # a refined cell's left end can re-evaluate to <= 0 when the root sits
+        # within rounding of it; keep the first cell then
+        k = np.where(any_pos, last_cell - np.argmax(pos[..., ::-1], axis=-1), 0)
+        new_lo = lo + width * _SCAN[k]
+        new_hi = np.where(k == last_cell, hi, lo + width * _SCAN[k + 1])
+        settled = (new_hi - new_lo <= tol * np.maximum(1.0, np.abs(new_hi))) | ((new_lo == lo) & (new_hi == hi))
+        lo, hi = new_lo, new_hi
+        if settled.all():
             break
-    return (lo + hi) / 2
+    return _scalar_or_array(np.where(found, (lo + hi) / 2, np.nan))
 
 
-def boundary_g(z: float, tol: float = 1e-10) -> float:
-    """Boundary slope function g with y_c = x_c g(x_c) on the upper branch."""
-    if z <= 0:
-        raise DomainError(f"boundary argument must be positive, got {z}")
-    return _upper_boundary_y(z, tol) / z
+def boundary_g(z, tol: float = 1e-10):
+    """Boundary slope function g with y_c = x_c g(x_c) on the upper branch.
+
+    g(z) = Y / z where Y tanh Y = z coth z; elementwise on arrays.
+    """
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z) & (z > 0)):
+        raise DomainError(f"boundary argument must be positive and finite, got {z}")
+    target = (z / np.tanh(z))[..., None]
+    # Y = max(2z, 2) already has Y tanh Y >= z coth z, so it bounds the root
+    y = _last_crossing(lambda y: target - y * np.tanh(y), 0.0, np.maximum(2.0 * z, 2.0), tol)
+    return _scalar_or_array(np.asarray(y / z))
 
 
-def g_inverse(ratio: float, tol: float = 1e-10) -> float:
-    """Solve g(x) = ratio for x > 0 (ratio > 1); g decreases from inf to 1."""
-    if ratio <= 1:
-        raise DomainError(f"g takes values > 1 only, got ratio = {ratio}")
-    f = lambda x: x / math.tanh(x) - ratio * x * math.tanh(ratio * x)
-    lo, hi = 1e-12, 1.0
-    while f(hi) > 0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise NumericalFailureError(f"failed to bracket g_inverse({ratio}) in (0, 1e9)")
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol * max(1.0, hi):
-            break
-    return (lo + hi) / 2
+def g_inverse(ratio, tol: float = 1e-10):
+    """Solve g(x) = ratio for x > 0 (ratio > 1), elementwise; g decreases from inf to 1."""
+    r = np.asarray(ratio, dtype=float)
+    if not np.all(np.isfinite(r) & (r > 1)):
+        raise DomainError(f"g takes finite values > 1 only, got ratio = {ratio}")
+    # x = atanh(r^-1/2) has coth x = sqrt r < r tanh(r x), so g(x) < r there
+    hi = np.log((np.sqrt(r) + 1) ** 2 / (r - 1)) / 2
+    rc = r[..., None]
+    return _last_crossing(lambda x: x / np.tanh(x) - rc * x * np.tanh(rc * x), 1e-12, hi, tol)
 
 
 @dataclass(frozen=True)
 class CriticalTemp:
     """Exact and approximate entanglement-vanishing temperatures."""
 
-    tc_exact: float
-    tc_approx: float
+    tc_exact: float | np.ndarray
+    tc_approx: float | np.ndarray
     boundary_samples: np.ndarray | None = None
 
 
-def critical_temperature(omega1: float, omega2: float, method: str = "both",
+def critical_temperature(omega1, omega2, method: str = "both",
                          tol: float = 1e-10, n_samples: int = 0) -> CriticalTemp:
     """Critical temperature of the constant-frequency thermal state.
 
     Exact: T_c = omega_min / (2 g^{-1}(omega_max / omega_min)).  Approximate
     (g ~ coth): T_c = omega_min / ln((omega_max + omega_min) / (omega_max -
     omega_min)).  Equal frequencies are never entangled, so T_c = 0.
+    Frequency arrays give arrays of T_c, elementwise.
 
     tc_approx is an upper bound on tc_exact: with r = omega_max / omega_min,
     x_e = omega_min / (2 tc_exact) solves coth x_e = r tanh(r x_e) < r =
@@ -231,47 +252,47 @@ def critical_temperature(omega1: float, omega2: float, method: str = "both",
     """
     if method not in ("both", "exact", "approx"):
         raise DomainError(f"unknown method {method!r}")
-    if omega1 <= 0 or omega2 <= 0:
+    w1, w2 = np.asarray(omega1, dtype=float), np.asarray(omega2, dtype=float)
+    if not (np.all(w1 > 0) and np.all(w2 > 0)):
         raise DomainError("frequencies must be positive")
-    if omega1 == omega2:
-        return CriticalTemp(tc_exact=0.0, tc_approx=0.0)
-    w_min, w_max = min(omega1, omega2), max(omega1, omega2)
-    tc_approx = w_min / math.log((w_max + w_min) / (w_max - w_min))
-    tc_exact = math.nan
-    if method != "approx":
-        tc_exact = w_min / (2 * g_inverse(w_max / w_min, tol))
+    w_min, w_max = np.minimum(w1, w2), np.maximum(w1, w2)
+    equal = w_min == w_max
+    with np.errstate(divide="ignore"):
+        tc_approx = np.where(equal, 0.0, w_min / np.log((w_max + w_min) / (w_max - w_min)))
+    tc_exact = np.where(equal, 0.0, math.nan)
+    if method != "approx" and not equal.all():
+        x = g_inverse(np.where(equal, 2.0, w_max / w_min), tol)
+        tc_exact = np.where(equal, 0.0, w_min / (2 * x))
     samples = None
     if n_samples > 0:
         xs = np.geomspace(0.05, 10.0, n_samples)
-        samples = np.column_stack([xs, [boundary_g(x, tol) for x in xs]])
-    return CriticalTemp(tc_exact=tc_exact, tc_approx=tc_approx, boundary_samples=samples)
+        samples = np.column_stack([xs, boundary_g(xs, tol)])
+    return CriticalTemp(tc_exact=_scalar_or_array(tc_exact), tc_approx=_scalar_or_array(tc_approx),
+                        boundary_samples=samples)
 
 
-def critical_temperature_sqm(spec: QuenchSpec, tol_t: float = 1e-6,
-                             t_floor: float = 1e-4, t_ceil: float = 1e4) -> float:
-    """Temperature where the quench's negativity vanishes (trace-moment route).
+def critical_temperature_sqm(spec: QuenchSpec, t_floor: float = 1e-4, t_ceil: float = 1e4) -> float:
+    """Highest temperature at which the quench's negativity vanishes.
 
-    Located by bisection on the sign of min(zeta1, zeta2); returns 0.0 if the
-    state is separable all the way down to ``t_floor``.
+    The state is entangled exactly where max(a-_1 / a+_2, a-_2 / a+_1) > 1,
+    i.e. where zeta1 or zeta2 is negative.  The log of that ratio is scanned
+    on a log-T grid from ``t_ceil`` down to ``t_floor``, or down to the
+    lowest temperature a downward quench admits (beta < beta* (1 - 1e-6)),
+    and its highest root is refined to 1e-12 in log T.  Returns 0.0 if the
+    state is separable at every scanned temperature; raises
+    ``NumericalFailureError`` if it is still entangled at ``t_ceil``.
     """
-    def min_zeta(t: float) -> float:
-        mom = pt_moments(sigma_for_quench(spec, 1.0 / t))
-        return min(mom.zeta1, mom.zeta2)
+    m1, m2 = normal_modes(spec)
 
-    t_hi = 1.0
-    while min_zeta(t_hi) < 0:
-        t_hi *= 4.0
-        if t_hi > t_ceil:
-            raise NumericalFailureError(f"state still entangled at T = {t_hi}")
-    t_lo = t_hi / 4.0
-    while t_lo >= t_floor and min_zeta(t_lo) >= 0:
-        t_lo /= 4.0
-    if t_lo < t_floor:
-        return 0.0
-    while t_hi - t_lo > tol_t:
-        mid = (t_lo + t_hi) / 2
-        if min_zeta(mid) < 0:
-            t_lo = mid
-        else:
-            t_hi = mid
-    return (t_lo + t_hi) / 2
+    def log_margin(log_t):
+        beta = np.exp(-log_t)
+        w1, w2 = mode_widths(m1, beta), mode_widths(m2, beta)
+        return np.log(np.maximum(w1.a_minus / w2.a_plus, w2.a_minus / w1.a_plus))
+
+    hi = math.log(t_ceil)
+    if log_margin(hi) > 0:
+        raise NumericalFailureError(f"state still entangled at T = {t_ceil}")
+    beta_cut = min(beta_star(m1), beta_star(m2)) * (1 - BETA_STAR_MARGIN)
+    lo = max(math.log(t_floor), -math.log(beta_cut))
+    root = _last_crossing(log_margin, lo, hi, tol=1e-12)
+    return 0.0 if math.isnan(root) else math.exp(root)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg import eigs as arpack_eigs
 
 from .errors import DomainError, NumericalFailureError
 from .kernels import QuadraticKernel
@@ -103,6 +102,10 @@ def _spectrum_once(k: QuadraticKernel, grid: QuadratureGrid, top_k):
     sym = sw[:, None] * mat * sw[None, :]
     symmetric = np.abs(sym - sym.T).max() <= 1e-12 * max(np.abs(sym).max(), 1e-300)
     if top_k is not None:
+        # imported here, not at module level: scipy costs the CLI, which never
+        # calls the oracle, most of its start-up time and memory
+        from scipy.sparse.linalg import eigs as arpack_eigs
+
         kk = min(top_k, m - 3)
         ev = arpack_eigs(sym, k=kk, which="LM", return_eigenvectors=False)
     elif m > FULL_EIG_MAX:

@@ -24,15 +24,3 @@ def hermite_n(n: int, z):
     """Single Hermite polynomial H_n(z)."""
     return hermite_all(n, z)[n]
 
-
-def hermite_weighted(n: int, z):
-    """H_n(z) * exp(-z^2 / 2), paired during the recurrence to avoid overflow."""
-    z = np.asarray(z, dtype=float)
-    w = np.exp(-z * z / 2)
-    prev = w
-    if n == 0:
-        return prev
-    cur = 2.0 * z * w
-    for k in range(1, n):
-        prev, cur = cur, 2.0 * z * cur - 2.0 * k * prev
-    return cur

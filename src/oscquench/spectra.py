@@ -7,19 +7,23 @@ has the geometric eigenvalue ladder lambda_n = lead * xi^n with
 
 and Hermite-Gaussian eigenfunctions of width alpha0 = eps0 - (a_in - a_out).
 A two-particle kernel that decouples in normal-mode coordinates factorises
-into two such ladders; thermal states do, sudden-quench partial transposes
-do not (the trace-moment route in :mod:`oscquench.negativity` covers those).
+into two such ladders.  Thermal states do, and so do the partial transposes
+of sudden-quench thermal states: in normal coordinates the transposed
+exponent splits into ladders with ratios zeta1 = r(a+_2, a-_1) and
+zeta2 = r(a+_1, a-_2), r(p, m) = (sqrt p - sqrt m) / (sqrt p + sqrt m).
+The entropies accept arrays, so :mod:`oscquench.observables` evaluates them
+over a whole temperature grid at once.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _scalar_or_array
 from .errors import DomainError, NonFactorizableError
 from .kernels import ROT_NORMAL, QuadraticKernel, reduce_substate, rotate_to_normal_modes
 from .special import hermite_n
@@ -167,26 +171,36 @@ def eigenfunction_eval(sd, *index_and_coords):
     raise TypeError(f"unsupported spectral data {type(sd)!r}")
 
 
-def von_neumann_entropy(xi: float) -> float:
-    """Entropy of the geometric ladder (1 - xi) xi^n; 0 for a pure state."""
-    if not 0 <= xi < 1:
+def _check_ladder_ratio(xi) -> np.ndarray:
+    x = np.asarray(xi, dtype=float)
+    if not np.all((0 <= x) & (x < 1)):
         raise DomainError(f"xi must lie in [0, 1), got {xi}")
-    if xi == 0:
-        return 0.0
-    return -math.log1p(-xi) - xi / (1 - xi) * math.log(xi)
+    return x
 
 
-def renyi_entropy(xi: float, alpha: float) -> float:
-    """Order-alpha Renyi entropy of the ladder; alpha = 1 falls back to von Neumann."""
-    if not 0 <= xi < 1:
-        raise DomainError(f"xi must lie in [0, 1), got {xi}")
+def von_neumann_entropy(xi):
+    """Entropy of the geometric ladder (1 - xi) xi^n; 0 for a pure state.
+
+    Takes a float or, elementwise, an array.
+    """
+    x = _check_ladder_ratio(xi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(x == 0, 0.0, -np.log1p(-x) - x / (1 - x) * np.log(x))
+    return _scalar_or_array(s)
+
+
+def renyi_entropy(xi, alpha: float):
+    """Order-alpha Renyi entropy of the ladder; alpha = 1 falls back to von Neumann.
+
+    Takes a float or, elementwise, an array of ratios.
+    """
+    x = _check_ladder_ratio(xi)
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     if alpha == 1:
         return von_neumann_entropy(xi)
-    if xi == 0:
-        return 0.0
-    return (alpha * math.log1p(-xi) - math.log1p(-(xi**alpha))) / (1 - alpha)
+    s = (alpha * np.log1p(-x) - np.log1p(-(x**alpha))) / (1 - alpha)
+    return _scalar_or_array(np.where(x == 0, 0.0, s))
 
 
 @dataclass(frozen=True)
@@ -222,19 +236,21 @@ def entropies(xi1: float, xi2: float, alpha: float = 2.0) -> EntropyReport:
                          s_von_modes=s_v, s_von=sum(s_v))
 
 
-def _clamp_thermal_ratio(x: float) -> float:
-    """Zero out rounding-level negatives of a mathematically non-negative ratio."""
-    return 0.0 if -1e-12 < x < 0 else x
+def _clamp_thermal_ratio(x):
+    """Zero out rounding-level negatives of a mathematically non-negative ratio (elementwise)."""
+    x = np.asarray(x, dtype=float)
+    return _scalar_or_array(np.where((-1e-12 < x) & (x < 0), 0.0, x))
 
 
 def substate_ratio(rho: QuadraticKernel) -> float:
-    """Geometric ratio zeta of the reduced one-particle substate."""
-    zeta = _clamp_thermal_ratio(eigendecompose_1d(reduce_substate(rho)).xi)
-    if zeta < 0:
-        warnings.warn(f"substate cross coefficient is negative (zeta = {zeta}); using |zeta|",
-                      RuntimeWarning, stacklevel=2)
-        zeta = abs(zeta)
-    return zeta
+    """Geometric ratio zeta of the reduced one-particle substate.
+
+    zeta >= 0 always: it equals r((a+_1 + a+_2) / 2, harmonic_mean(a-_1, a-_2))
+    with r(p, m) = (sqrt p - sqrt m) / (sqrt p + sqrt m), and the arithmetic
+    mean of the a+ is at least that of the a-, which is at least their
+    harmonic mean.
+    """
+    return _clamp_thermal_ratio(eigendecompose_1d(reduce_substate(rho)).xi)
 
 
 def mutual_information(rho: QuadraticKernel, alpha: float = 2.0) -> EntropyReport:
