@@ -341,6 +341,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.threads < 0:
+        print(f"config error: threads must be >= 0, got {args.threads}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         if args.command == "validate":
             ok, report = validate_config(args.config)

@@ -4,6 +4,18 @@ Everything here consumes only the (dim, norm, Q) data of a kernel — never
 the closed-form spectral formulas it is used to check.  Integral operators
 are discretised on Gauss-Legendre nodes (Nystrom method); traces and trace
 powers are quadrature contractions with grid-refinement error estimates.
+
+A kernel norm * exp(-v^T Q v), v = (out, in), has the blocks Q_oo, Q_oi and
+Q_ii.  When Q_oi is symmetric, the weighted matrix W^1/2 K W^1/2 is
+diagonally similar to a symmetric matrix S_w, which is assembled directly
+with the weights folded into its exponent.  That covers every kernel the
+package builds: Hermitian states and their partial transposes, which are
+again real symmetric kernels (Simon, PRL 84, 2726 (2000)).  Their spectra
+then come from symmetric eigensolvers (``eigvalsh``, ARPACK ``eigsh``) and
+their trace powers from S_w, p = 3 through a symmetric rank-k product.  A
+kernel with an asymmetric Q_oi takes the general route: the kernel matrix, a
+general eigensolve whose imaginary residue is checked, general products.
+tr K needs only the kernel's diagonal and costs O(m) on either route.
 """
 
 from __future__ import annotations
@@ -23,6 +35,8 @@ MIN_POINTS = 32
 FULL_EIG_MAX = 4096
 ECONOMY_MAX_AXIS = 128
 IMAG_RESIDUE_TOL = 1e-8
+# relative asymmetry of Q_oi up to which the symmetric route is taken
+_SYM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,73 +81,104 @@ class NumericSpectrum:
     imag_residue: float
 
 
-def _points_2d(grid: QuadratureGrid):
+def _points(k: QuadraticKernel, grid: QuadratureGrid):
+    """Quadrature points as an (m, dim) array and their weights."""
+    if k.dim == 1:
+        return grid.nodes[:, None], grid.weights
     x1, x2 = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
     pts = np.column_stack([x1.ravel(), x2.ravel()])
-    w = np.outer(grid.weights, grid.weights).ravel()
-    return pts, w
+    return pts, np.outer(grid.weights, grid.weights).ravel()
+
+
+def _quad(p: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """p_a^T A p_a for every point a."""
+    return np.einsum("ai,ij,aj->a", p, a, p)
+
+
+def _assemble(p: np.ndarray, h_out: np.ndarray, q_oi: np.ndarray, h_in: np.ndarray) -> np.ndarray:
+    """exp(h_out[a] - 2 p_a^T Q_oi p_b + h_in[b]), built in place in one m x m buffer."""
+    out = p @ (-2.0 * q_oi) @ p.T
+    out += h_out[:, None]
+    out += h_in[None, :]
+    return np.exp(out, out=out)
 
 
 def kernel_matrix(k: QuadraticKernel, grid: QuadratureGrid):
     """Dense kernel matrix K[a, b] = K(out = node_a, in = node_b) and weights."""
-    if k.dim == 1:
-        p = grid.nodes[:, None]
-        w = grid.weights
-    else:
-        p, w = _points_2d(grid)
+    p, w = _points(k, grid)
     d = k.dim
-    qoo, qoi, qii = k.q[:d, :d], k.q[:d, d:], k.q[d:, d:]
-    if k.dim == 1:
-        d_out = qoo[0, 0] * p[:, 0] ** 2
-        d_in = qii[0, 0] * p[:, 0] ** 2
-        cross = qoi[0, 0] * np.outer(p[:, 0], p[:, 0])
-    else:
-        d_out = np.einsum("ai,ij,aj->a", p, qoo, p)
-        d_in = np.einsum("ai,ij,aj->a", p, qii, p)
-        cross = p @ qoi @ p.T
-    mat = k.norm * np.exp(-(d_out[:, None] + 2 * cross + d_in[None, :]))
+    mat = _assemble(p, -_quad(p, k.q[:d, :d]), k.q[:d, d:], -_quad(p, k.q[d:, d:]))
+    mat *= k.norm
     return mat, w
 
 
-def _spectrum_once(k: QuadraticKernel, grid: QuadratureGrid, top_k):
-    mat, w = kernel_matrix(k, grid)
-    m = mat.shape[0]
-    sw = np.sqrt(w)
-    sym = sw[:, None] * mat * sw[None, :]
-    symmetric = np.abs(sym - sym.T).max() <= 1e-12 * max(np.abs(sym).max(), 1e-300)
-    if top_k is not None:
-        # imported here, not at module level: scipy costs the CLI, which never
-        # calls the oracle, most of its start-up time and memory
-        from scipy.sparse.linalg import eigs as arpack_eigs
+def _symmetric_weighted(k: QuadraticKernel, grid: QuadratureGrid):
+    """Symmetric S_w = D^-1 W^1/2 K W^1/2 D for a diagonal D, or None.
 
-        kk = min(top_k, m - 3)
-        ev = arpack_eigs(sym, k=kk, which="LM", return_eigenvectors=False)
-    elif m > FULL_EIG_MAX:
+    With M = (Q_oo + Q_ii)/2 the exponent is x'Mx' + 2x'Q_oi x + xMx
+    + e(x') - e(x), e(x) = x(Q_oo - Q_ii)x/2, so the e terms are the
+    diagonal similarity D = diag(exp(-e)), and S_w is symmetric exactly when
+    Q_oi is.  ``None`` when Q_oi is not symmetric to 1e-12 of max |Q|.
+    """
+    d = k.dim
+    q_oi = k.q[:d, d:]
+    if np.abs(q_oi - q_oi.T).max() > _SYM_TOL * max(np.abs(k.q).max(), 1.0):
+        return None
+    p, w = _points(k, grid)
+    # the norm and the weights enter as sqrt(norm w_a) sqrt(norm w_b)
+    h = 0.5 * (math.log(k.norm) + np.log(w)) - _quad(p, (k.q[:d, :d] + k.q[d:, d:]) / 2)
+    return _assemble(p, h, (q_oi + q_oi.T) / 2, h)
+
+
+def _spectrum_once(k: QuadraticKernel, grid: QuadratureGrid, top_k):
+    m = grid.n_points ** k.dim
+    if top_k is None and m > FULL_EIG_MAX:
         raise DomainError(
             f"dense eigensolve capped at {FULL_EIG_MAX} nodes (got {m}); pass top_k for economy mode")
-    elif symmetric:
-        ev = np.linalg.eigvalsh(sym).astype(complex)
+    # scipy is imported inside the branches, not at module level: it costs the
+    # CLI, which never calls the oracle, most of its start-up time and memory
+    sym = _symmetric_weighted(k, grid)
+    if sym is not None:
+        if top_k is not None:
+            from scipy.sparse.linalg import eigsh
+
+            ev = eigsh(sym, k=min(top_k, m - 3), which="LM", return_eigenvectors=False)
+        else:
+            ev = np.linalg.eigvalsh(sym)
+        residue = 0.0
     else:
-        ev = np.linalg.eigvals(sym)
-    order = np.argsort(-np.abs(ev))
-    ev = ev[order]
-    residue = float(np.abs(ev.imag).max()) if ev.size else 0.0
-    scale = max(float(np.abs(ev).max()), 1e-300)
-    if residue > IMAG_RESIDUE_TOL * scale:
-        raise NumericalFailureError(
-            f"discretised operator has complex eigenvalues (max imag {residue:.3e})")
-    return ev.real, residue
+        mat, w = kernel_matrix(k, grid)
+        sw = np.sqrt(w)
+        mat *= sw[:, None]
+        mat *= sw[None, :]
+        if top_k is not None:
+            from scipy.sparse.linalg import eigs
+
+            ev = eigs(mat, k=min(top_k, m - 3), which="LM", return_eigenvectors=False)
+        else:
+            ev = np.linalg.eigvals(mat)
+        residue = float(np.abs(ev.imag).max()) if ev.size else 0.0
+        scale = max(float(np.abs(ev).max()), 1e-300)
+        if residue > IMAG_RESIDUE_TOL * scale:
+            raise NumericalFailureError(
+                f"discretised operator has complex eigenvalues (max imag {residue:.3e})")
+        ev = ev.real
+    return ev[np.argsort(-np.abs(ev))], residue
 
 
 def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None = None,
                      with_error: bool = True, tol: float | None = None) -> NumericSpectrum:
     """Eigenvalues of the weighted kernel matrix W^1/2 K W^1/2.
 
-    The matrix is symmetrised when the kernel itself is symmetric; otherwise
-    a general real eigensolve is used (quench kernels are similar to
-    symmetric operators, so genuinely complex output is an error).  The
-    error estimate compares against a refined or coarsened grid; with ``tol``
-    set, a non-converged estimate raises instead of passing silently.
+    When the cross block Q_oi of the exponent is symmetric, as in every
+    kernel the package builds (Hermitian states and their partial
+    transposes), W^1/2 K W^1/2 = D S_w D^-1 with S_w symmetric and D
+    diagonal, so the spectrum is that of S_w: a symmetric eigensolve
+    (Lanczos for ``top_k``), real by construction, ``imag_residue`` 0.  Only
+    a kernel with an asymmetric Q_oi takes the general real eigensolve,
+    where genuinely complex output is an error.  The error estimate compares
+    against a refined or coarsened grid; with ``tol`` set, a non-converged
+    estimate raises instead of passing silently.
     """
     if k.dim == 2 and grid.n_points > ECONOMY_MAX_AXIS:
         raise DomainError(f"2-d grids capped at {ECONOMY_MAX_AXIS} points per axis")
@@ -156,13 +201,24 @@ def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None
 
 
 def _trace_once(k: QuadraticKernel, p: int, grid: QuadratureGrid) -> float:
-    mat, w = kernel_matrix(k, grid)
     if p == 1:
-        return float(np.sum(np.diag(mat) * w))
-    kw = mat * w[None, :]
+        # tr K = sum_a w_a K(x_a, x_a): the diagonal alone, O(m) for any kernel
+        pts, w = _points(k, grid)
+        d = k.dim
+        q = k.q
+        diag = q[:d, :d] + q[:d, d:] + q[d:, :d] + q[d:, d:]
+        return float(k.norm * np.dot(w, np.exp(-_quad(pts, diag))))
+    sym = _symmetric_weighted(k, grid)
+    if sym is not None:
+        if p == 2:
+            return float(np.vdot(sym, sym))
+        # sym @ sym.T is a rank-k update (syrk): half the flops of a general product
+        return float(np.vdot(sym @ sym.T, sym))
+    mat, w = kernel_matrix(k, grid)
+    mat *= w[None, :]
     if p == 2:
-        return float(np.sum(kw * kw.T))
-    return float(np.sum((kw @ kw) * kw.T))
+        return float(np.sum(mat * mat.T))
+    return float(np.sum((mat @ mat) * mat.T))
 
 
 def trace_power(k: QuadraticKernel, p: int, grid: QuadratureGrid,

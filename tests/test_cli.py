@@ -189,6 +189,16 @@ class TestMain:
         assert main(["--threads", "8", "sweep", "--config", cfg_path, "--out", str(out8)]) == EXIT_OK
         assert out1.read_bytes() == out8.read_bytes()
 
+    def test_negative_threads_refused(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, GOOD_CONFIG)
+        out = tmp_path / "x.csv"
+        assert main(["--threads", "-3", "sweep", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+        assert "threads must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+        neg = write_config(tmp_path, dict(GOOD_CONFIG, threads=-3))
+        assert main(["sweep", "--config", neg, "--out", str(out)]) == EXIT_CONFIG
+        assert "threads must be >= 0" in capsys.readouterr().err
+
     def test_config_error_exit(self, tmp_path):
         bad = write_config(tmp_path, dict(GOOD_CONFIG, observables=["nope"]))
         assert main(["sweep", "--config", bad, "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oscquench import oracle
 from oscquench import (DomainError, ModeQuench, NumericalFailureError, QuadraticKernel,
                        QuadratureGrid, QuenchSpec, kernel_matrix, mehler_check,
                        mode_thermo, normal_modes, nystrom_spectrum, partial_transpose,
@@ -113,6 +114,101 @@ class TestTracePower:
         k = thermal_rho_single(mode_thermo(ModeQuench(1, 1), 1.0))
         with pytest.raises(NumericalFailureError):
             trace_power(k, 2, QuadratureGrid.for_kernel(k, 64), tol=1e-19)
+
+
+def _reference(k, grid):
+    """Spectrum sorted by value and tr (KW)^p, p = 1..3, straight from kernel_matrix."""
+    mat, w = kernel_matrix(k, grid)
+    sw = np.sqrt(w)
+    ev = np.linalg.eigvals(sw[:, None] * mat * sw[None, :])
+    kw = mat * w[None, :]
+    kw2 = kw @ kw
+    return np.sort(ev.real), [np.trace(kw), np.trace(kw2), np.trace(kw2 @ kw)]
+
+
+def _positive_2d(a, g, theta):
+    """Blocks (A, C) of a positive exchange-free two-mode kernel in a frame rotated by theta."""
+    c, s = math.cos(theta), math.sin(theta)
+    r = np.array([[c, -s], [s, c]])
+    return r.T @ np.diag(a) @ r, -r.T @ np.diag(g) @ r
+
+
+def _product_kernel():
+    """K = X Y for positive Gaussian operators X, Y diagonal in different frames.
+
+    Integrating out the middle coordinate gives Q_oi = -C_x M^-1 C_y with
+    M = A_x + A_y, which is not symmetric; the spectrum is that of
+    X^1/2 Y X^1/2, so it is real and positive.
+    """
+    ax, cx = _positive_2d([1.1, 0.8], [0.5, 0.3], 0.3)
+    ay, cy = _positive_2d([0.9, 1.2], [0.4, 0.6], 1.1)
+    m = ax + ay
+    mi = np.linalg.inv(m)
+    q = np.block([[ax - cx @ mi @ cx.T, -cx @ mi @ cy], [-cy.T @ mi @ cx, ay - cy.T @ mi @ cy]])
+    return QuadraticKernel(2, 0.2 * math.pi / math.sqrt(np.linalg.det(m)), q)
+
+
+# Q_oo != Q_ii with a symmetric Q_oi: the symmetric route, through a
+# diagonal similarity whose condition number exp(max e - min e) stays
+# below 10 on these grids, so the general reference eigensolve is accurate
+KERNEL_1D = QuadraticKernel(1, 0.45, np.array([[0.62, -0.31], [-0.31, 0.55]]))
+KERNEL_2D = QuadraticKernel(2, 0.3, np.block([
+    [np.array([[0.80, 0.10], [0.10, 0.70]]), np.array([[-0.25, -0.05], [-0.05, -0.20]])],
+    [np.array([[-0.25, -0.05], [-0.05, -0.20]]), np.array([[0.76, 0.07], [0.07, 0.73]])]]))
+
+
+class TestSymmetricAndGeneralRoutes:
+    """Both routes of the oracle against a test-local reference on the same grid."""
+
+    CASES = [(KERNEL_1D, QuadratureGrid.make(40, 5.0), False),
+             (KERNEL_2D, QuadratureGrid.make(32, 4.5), False),
+             (_product_kernel(), QuadratureGrid.make(32, 4.5), True)]
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        real = oracle.kernel_matrix
+
+        def counted(k, grid):
+            calls.append(k)
+            return real(k, grid)
+
+        monkeypatch.setattr(oracle, "kernel_matrix", counted)
+        return calls
+
+    def test_cases_have_the_intended_cross_block(self):
+        for k, _, general in self.CASES:
+            d = k.dim
+            assert np.abs(k.q[:d, :d] - k.q[d:, d:]).max() > 1e-3
+            asym = np.abs(k.q[:d, d:] - k.q[d:, :d]).max()
+            assert (asym > 1e-3) if general else (asym == 0.0)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_spectrum_dense_and_top_k(self, case, monkeypatch):
+        k, grid, general = self.CASES[case]
+        ref, _ = _reference(k, grid)
+        scale = np.abs(ref).max()
+        calls = self._counting(monkeypatch)
+        dense = nystrom_spectrum(k, grid, with_error=False)
+        top = nystrom_spectrum(k, grid, top_k=6, with_error=False)
+        assert len(calls) == (2 if general else 0)
+        assert np.abs(np.sort(dense.eigenvalues) - ref).max() <= 1e-12 * scale
+        want = ref[np.argsort(-np.abs(ref))][:6]
+        assert np.abs(np.sort(top.eigenvalues[:6]) - np.sort(want)).max() <= 1e-12 * scale
+        assert np.all(np.diff(np.abs(dense.eigenvalues)) <= 0)
+        if not general:
+            assert dense.imag_residue == 0.0 and top.imag_residue == 0.0
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_trace_powers(self, case, monkeypatch):
+        k, grid, general = self.CASES[case]
+        _, ref = _reference(k, grid)
+        calls = self._counting(monkeypatch)
+        for p in (1, 2, 3):
+            value, _ = trace_power(k, p, grid, with_error=False)
+            assert abs(value - ref[p - 1]) <= 1e-12 * abs(ref[p - 1])
+        # tr K reads only the diagonal; p = 2, 3 build the kernel matrix only off the symmetric route
+        assert len(calls) == (2 if general else 0)
 
 
 class TestKernelMatrix:
