@@ -1,0 +1,93 @@
+"""Per-layer timings of the Nystrom oracle's symmetric route at 56 x 56 nodes.
+
+Usage: python scripts/oracle_layers.py
+
+The process pins itself to one CPU and caps the BLAS pools at one thread
+before numpy loads.  The kernel is the partial transpose sigma of the
+3->6/3->6 quench at beta = 0.6, on its ``QuadratureGrid.for_kernel`` grid.
+Four layers are timed on their own: assembly of the even and odd parity
+blocks, the ARPACK top-12 eigensolve of both blocks, and the p = 2 and
+p = 3 trace contractions of the blocks; so are the public calls that chain
+them.  Prints JSON on stdout: the machine, the problem, and per entry the
+median, minimum and maximum over the runs in ms.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402  (after the BLAS cap)
+
+import oscquench as oq  # noqa: E402
+from oscquench import oracle  # noqa: E402
+
+SPEC = (3.0, 6.0, 3.0, 6.0)
+BETA = 0.6
+POINTS = 56
+TOP_K = 12
+RUNS = 7
+
+
+def _timed(fn) -> dict:
+    fn()  # warm-up: lazy imports and first-touch page faults
+    times = []
+    for _ in range(RUNS):
+        t0 = time.perf_counter()
+        fn()
+        times.append((time.perf_counter() - t0) * 1e3)
+    return {"median_ms": statistics.median(times), "min_ms": min(times), "max_ms": max(times)}
+
+
+def main() -> None:
+    cpu = min(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+
+    m1, m2 = oq.normal_modes(oq.QuenchSpec(*SPEC))
+    rho = oq.thermal_rho_coupled(oq.mode_thermo(m1, BETA), oq.mode_thermo(m2, BETA))
+    sigma = oq.partial_transpose(rho)
+    grid = oq.QuadratureGrid.for_kernel(sigma, POINTS)
+    blocks = oracle._parity_blocks(sigma, grid)
+    if blocks is None:
+        raise SystemExit("the kernel does not take the symmetric route")
+
+    import scipy
+
+    layers = {
+        "assembly": lambda: oracle._parity_blocks(sigma, grid),
+        "top12_eigensolve": lambda: oracle._parity_eigvals(blocks, TOP_K),
+        "p2_contraction": lambda: oracle._parity_trace(blocks, 2),
+        "p3_contraction": lambda: oracle._parity_trace(blocks, 3),
+    }
+    calls = {
+        "nystrom_spectrum_top12": lambda: oq.nystrom_spectrum(sigma, grid, top_k=TOP_K,
+                                                              with_error=False),
+        "trace_power_p2": lambda: oq.trace_power(sigma, 2, grid, with_error=False),
+        "trace_power_p3": lambda: oq.trace_power(sigma, 3, grid, with_error=False),
+    }
+    report = {
+        "machine": {"nproc": os.cpu_count(), "pinned_cpu": cpu, "blas_threads": 1,
+                    "python": platform.python_version(), "numpy": np.__version__,
+                    "scipy": scipy.__version__, "processor": platform.processor()},
+        "problem": {"kernel": "sigma", "spec": SPEC, "beta": BETA, "points_per_axis": POINTS,
+                    "nodes": POINTS ** 2, "block_sizes": [len(b) for b in blocks],
+                    "runs": RUNS},
+        "layers": {name: _timed(fn) for name, fn in layers.items()},
+        "calls": {name: _timed(fn) for name, fn in calls.items()},
+    }
+    json.dump(report, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -7,15 +7,28 @@ powers are quadrature contractions with grid-refinement error estimates.
 
 A kernel norm * exp(-v^T Q v), v = (out, in), has the blocks Q_oo, Q_oi and
 Q_ii.  When Q_oi is symmetric, the weighted matrix W^1/2 K W^1/2 is
-diagonally similar to a symmetric matrix S_w, which is assembled directly
-with the weights folded into its exponent.  That covers every kernel the
+diagonally similar to a symmetric matrix S_w.  That covers every kernel the
 package builds: Hermitian states and their partial transposes, which are
-again real symmetric kernels (Simon, PRL 84, 2726 (2000)).  Their spectra
-then come from symmetric eigensolvers (``eigvalsh``, ARPACK ``eigsh``) and
-their trace powers from S_w, p = 3 through a symmetric rank-k product.  A
-kernel with an asymmetric Q_oi takes the general route: the kernel matrix, a
-general eigensolve whose imaginary residue is checked, general products.
-tr K needs only the kernel's diagonal and costs O(m) on either route.
+again real symmetric kernels (Simon, PRL 84, 2726 (2000)).
+
+The kernel is centred (no linear term) and the nodes of a QuadratureGrid are
+exactly antisymmetric, its weights exactly symmetric (``leggauss``
+symmetrises them).  So reversing the flat node index a -> m-1-a maps p_a to
+-p_a and leaves S_w invariant, and in the basis (e_a +- e_{m-1-a})/sqrt 2
+S_w is the direct sum of an even block E and an odd block O of about m/2
+rows each.  With h = m // 2, A[a, c] = S_w[a, c] and B[a, c] = S_w[a, m-1-c]
+for a, c < h, E = A + B and O = A - B; for odd m the centre node (p = 0)
+joins E with the column sqrt 2 S_w[a, centre].  Only E and O are assembled,
+with the weights folded into their exponents: half the ``exp`` work of S_w
+and no m x m buffer.  Spectra are those of E and O from symmetric
+eigensolvers (``eigvalsh``, ARPACK ``eigsh``), tr S_w^2 = |E|^2 + |O|^2,
+and tr S_w^3 takes one symmetric rank-k product per block, m^3/4 flops in
+all against m^3 for S_w.
+
+A kernel with an asymmetric Q_oi, or a grid built by hand without that
+parity, takes the general route: the kernel matrix, a general eigensolve
+whose imaginary residue is checked, general products.  tr K needs only the
+kernel's diagonal and costs O(m) on either route.
 """
 
 from __future__ import annotations
@@ -41,7 +54,11 @@ _SYM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Gauss-Legendre nodes/weights on [-L, L], tensorised for 2-d kernels."""
+    """Gauss-Legendre nodes/weights on [-L, L], tensorised for 2-d kernels.
+
+    ``make`` gives exactly antisymmetric nodes and symmetric weights, the
+    parity the oracle's symmetric route relies on.
+    """
 
     n_points: int
     half_width: float
@@ -112,49 +129,86 @@ def kernel_matrix(k: QuadraticKernel, grid: QuadratureGrid):
     return mat, w
 
 
-def _symmetric_weighted(k: QuadraticKernel, grid: QuadratureGrid):
-    """Symmetric S_w = D^-1 W^1/2 K W^1/2 D for a diagonal D, or None.
+def _parity_blocks(k: QuadraticKernel, grid: QuadratureGrid):
+    """Even and odd blocks (E, O) of the symmetric S_w = D^-1 W^1/2 K W^1/2 D, or None.
 
     With M = (Q_oo + Q_ii)/2 the exponent is x'Mx' + 2x'Q_oi x + xMx
     + e(x') - e(x), e(x) = x(Q_oo - Q_ii)x/2, so the e terms are the
     diagonal similarity D = diag(exp(-e)), and S_w is symmetric exactly when
-    Q_oi is.  ``None`` when Q_oi is not symmetric to 1e-12 of max |Q|.
+    Q_oi is.  S_w[a, m-1-c] is S_w[a, c] with Q_oi negated, since
+    p_{m-1-c} = -p_c, so B is assembled like A.  ``None`` when Q_oi is not
+    symmetric to 1e-12 of max |Q|, or the grid lacks the node parity.
     """
     d = k.dim
     q_oi = k.q[:d, d:]
     if np.abs(q_oi - q_oi.T).max() > _SYM_TOL * max(np.abs(k.q).max(), 1.0):
         return None
+    if not (np.array_equal(grid.nodes, -grid.nodes[::-1])
+            and np.array_equal(grid.weights, grid.weights[::-1])):
+        return None
     p, w = _points(k, grid)
-    # the norm and the weights enter as sqrt(norm w_a) sqrt(norm w_b)
+    half = len(w) // 2
+    n_even = len(w) - half
+    p, w = p[:n_even], w[:n_even]
+    # the norm and the weights enter as sqrt(norm w_a) sqrt(norm w_c)
     h = 0.5 * (math.log(k.norm) + np.log(w)) - _quad(p, (k.q[:d, :d] + k.q[d:, d:]) / 2)
-    return _assemble(p, h, (q_oi + q_oi.T) / 2, h)
+    q_sym = (q_oi + q_oi.T) / 2
+    even = _assemble(p, h, q_sym, h)
+    odd = _assemble(p[:half], h[:half], -q_sym, h[:half])
+    even[:half, :half] += odd
+    odd *= -2.0
+    odd += even[:half, :half]
+    if n_even > half:
+        even[half, :half] *= math.sqrt(2.0)
+        even[:half, half] *= math.sqrt(2.0)
+    return even, odd
+
+
+def _parity_eigvals(blocks, top_k) -> np.ndarray:
+    """Eigenvalues of each block, its top ``top_k`` by |lambda| if set, unsorted."""
+    parts = []
+    for block in blocks:
+        # ARPACK needs top_k below the block size; a smaller block is solved densely
+        if top_k is not None and top_k < len(block):
+            from scipy.sparse.linalg import eigsh
+
+            parts.append(eigsh(block, k=top_k, which="LM", return_eigenvectors=False))
+        else:
+            parts.append(np.linalg.eigvalsh(block))
+    return np.concatenate(parts)
+
+
+def _parity_trace(blocks, p: int) -> float:
+    """tr S_w^p, p in {2, 3}, as the sum over the blocks."""
+    if p == 2:
+        return float(sum(np.vdot(b, b) for b in blocks))
+    # b @ b.T is a rank-k update (syrk): half the flops of a general product,
+    # and one block at a time keeps a single product buffer alive
+    return float(sum(np.vdot(b @ b.T, b) for b in blocks))
 
 
 def _spectrum_once(k: QuadraticKernel, grid: QuadratureGrid, top_k):
+    """Eigenvalues sorted by |lambda| descending, the top ``top_k`` if set, and the imaginary residue."""
     m = grid.n_points ** k.dim
     if top_k is None and m > FULL_EIG_MAX:
         raise DomainError(
             f"dense eigensolve capped at {FULL_EIG_MAX} nodes (got {m}); pass top_k for economy mode")
-    # scipy is imported inside the branches, not at module level: it costs the
-    # CLI, which never calls the oracle, most of its start-up time and memory
-    sym = _symmetric_weighted(k, grid)
-    if sym is not None:
-        if top_k is not None:
-            from scipy.sparse.linalg import eigsh
-
-            ev = eigsh(sym, k=min(top_k, m - 3), which="LM", return_eigenvectors=False)
-        else:
-            ev = np.linalg.eigvalsh(sym)
+    # scipy is imported inside the functions that use it, not at module level: it
+    # costs the CLI, which never calls the oracle, most of its start-up time and memory
+    blocks = _parity_blocks(k, grid)
+    if blocks is not None:
+        ev = _parity_eigvals(blocks, top_k)
         residue = 0.0
     else:
         mat, w = kernel_matrix(k, grid)
         sw = np.sqrt(w)
         mat *= sw[:, None]
         mat *= sw[None, :]
-        if top_k is not None:
+        # ARPACK's eigs needs top_k < m - 1
+        if top_k is not None and top_k < m - 1:
             from scipy.sparse.linalg import eigs
 
-            ev = eigs(mat, k=min(top_k, m - 3), which="LM", return_eigenvectors=False)
+            ev = eigs(mat, k=top_k, which="LM", return_eigenvectors=False)
         else:
             ev = np.linalg.eigvals(mat)
         residue = float(np.abs(ev.imag).max()) if ev.size else 0.0
@@ -163,7 +217,7 @@ def _spectrum_once(k: QuadraticKernel, grid: QuadratureGrid, top_k):
             raise NumericalFailureError(
                 f"discretised operator has complex eigenvalues (max imag {residue:.3e})")
         ev = ev.real
-    return ev[np.argsort(-np.abs(ev))], residue
+    return ev[np.argsort(-np.abs(ev))][:top_k], residue
 
 
 def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None = None,
@@ -173,15 +227,23 @@ def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None
     When the cross block Q_oi of the exponent is symmetric, as in every
     kernel the package builds (Hermitian states and their partial
     transposes), W^1/2 K W^1/2 = D S_w D^-1 with S_w symmetric and D
-    diagonal, so the spectrum is that of S_w: a symmetric eigensolve
-    (Lanczos for ``top_k``), real by construction, ``imag_residue`` 0.  Only
-    a kernel with an asymmetric Q_oi takes the general real eigensolve,
-    where genuinely complex output is an error.  The error estimate compares
-    against a refined or coarsened grid; with ``tol`` set, a non-converged
-    estimate raises instead of passing silently.
+    diagonal.  On a QuadratureGrid, whose nodes are exactly antisymmetric,
+    the centred kernel makes S_w invariant under a -> m-1-a, so the
+    spectrum is the union of those of its even and odd blocks of about m/2
+    rows: symmetric eigensolves (Lanczos per block for ``top_k``), real by
+    construction, ``imag_residue`` 0.  Only a kernel with an asymmetric Q_oi
+    (or a hand-built grid without that parity) takes the general real
+    eigensolve, where genuinely complex output is an error.
+
+    Returns min(``top_k``, m) eigenvalues sorted by |lambda| descending, all
+    m without ``top_k``; ``top_k`` < 1 is refused.  The error estimate
+    compares against a refined or coarsened grid; with ``tol`` set, a
+    non-converged estimate raises instead of passing silently.
     """
     if k.dim == 2 and grid.n_points > ECONOMY_MAX_AXIS:
         raise DomainError(f"2-d grids capped at {ECONOMY_MAX_AXIS} points per axis")
+    if top_k is not None and top_k < 1:
+        raise DomainError(f"top_k must be >= 1, got {top_k}")
     ev, residue = _spectrum_once(k, grid, top_k)
     err = math.nan
     if with_error:
@@ -208,12 +270,9 @@ def _trace_once(k: QuadraticKernel, p: int, grid: QuadratureGrid) -> float:
         q = k.q
         diag = q[:d, :d] + q[:d, d:] + q[d:, :d] + q[d:, d:]
         return float(k.norm * np.dot(w, np.exp(-_quad(pts, diag))))
-    sym = _symmetric_weighted(k, grid)
-    if sym is not None:
-        if p == 2:
-            return float(np.vdot(sym, sym))
-        # sym @ sym.T is a rank-k update (syrk): half the flops of a general product
-        return float(np.vdot(sym @ sym.T, sym))
+    blocks = _parity_blocks(k, grid)
+    if blocks is not None:
+        return _parity_trace(blocks, p)
     mat, w = kernel_matrix(k, grid)
     mat *= w[None, :]
     if p == 2:
@@ -224,6 +283,11 @@ def _trace_once(k: QuadraticKernel, p: int, grid: QuadratureGrid) -> float:
 def trace_power(k: QuadraticKernel, p: int, grid: QuadratureGrid,
                 with_error: bool = True, tol: float | None = None):
     """tr K^p for p in {1, 2, 3} by p-fold quadrature contraction.
+
+    p = 1 sums the kernel's diagonal, O(m).  For p = 2, 3 the symmetric
+    route contracts the even and odd blocks of S_w (see ``nystrom_spectrum``):
+    tr S_w^2 = |E|^2 + |O|^2, and tr S_w^3 = tr E^3 + tr O^3 by one symmetric
+    rank-k product per block, m^3/4 flops in all.
 
     Returns ``(value, error_estimate)``; the estimate is the change under
     grid refinement (halved grid for large 2-d problems).

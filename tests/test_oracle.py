@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,26 @@ class TestNystromSpectrum:
             nystrom_spectrum(rho, QuadratureGrid.for_kernel(rho, 80), with_error=False)
         nystrom_spectrum(rho, QuadratureGrid.for_kernel(rho, 80), top_k=4, with_error=False)
 
+    @pytest.mark.parametrize("shift", [0.0, 0.25], ids=["parity", "shifted"])
+    @pytest.mark.parametrize("extra", [-2, 0, 8])
+    def test_top_k_near_and_beyond_m(self, extra, shift):
+        # a grid whose nodes lose their parity takes the general route
+        g = QuadratureGrid.for_kernel(RHO_1D, 32)
+        grid = QuadratureGrid(32, g.half_width, g.nodes + shift, g.weights)
+        dense = nystrom_spectrum(RHO_1D, grid, with_error=False).eigenvalues
+        top = nystrom_spectrum(RHO_1D, grid, top_k=32 + extra, with_error=False).eigenvalues
+        assert len(top) == min(32 + extra, 32)
+        assert np.all(np.diff(np.abs(top)) <= 0)
+        assert np.abs(np.sort(top) - np.sort(dense[:len(top)])).max() <= 1e-12 * np.abs(dense[0])
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_refused_before_assembly(self, top_k, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "_assemble", lambda *a: calls.append(a))
+        with pytest.raises(DomainError):
+            nystrom_spectrum(RHO_1D, QuadratureGrid.for_kernel(RHO_1D, 32), top_k=top_k)
+        assert calls == []
+
     def test_axis_cap(self):
         rho = coupled_state(QuenchSpec(1, 1, 1, 1), 1.0)
         with pytest.raises(DomainError):
@@ -110,6 +131,22 @@ class TestTracePower:
         with pytest.raises(DomainError):
             trace_power(k, 4, QuadratureGrid.for_kernel(k))
 
+    def test_symmetric_route_allocates_no_full_matrix(self):
+        # E and O hold m^2/2 doubles; a full m x m S_w would be m^2
+        grid = QuadratureGrid.for_kernel(RHO_2D, 56)
+        limit = 0.8 * 8 * (56 ** 2) ** 2
+        calls = [lambda: trace_power(RHO_2D, 3, grid, with_error=False),
+                 lambda: trace_power(RHO_2D, 2, grid, with_error=False),
+                 lambda: nystrom_spectrum(RHO_2D, grid, top_k=12, with_error=False)]
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit
+
     def test_non_convergence_reported(self):
         k = thermal_rho_single(mode_thermo(ModeQuench(1, 1), 1.0))
         with pytest.raises(NumericalFailureError):
@@ -124,6 +161,15 @@ def _reference(k, grid):
     kw = mat * w[None, :]
     kw2 = kw @ kw
     return np.sort(ev.real), [np.trace(kw), np.trace(kw2), np.trace(kw2 @ kw)]
+
+
+def _top_parities(k, grid, n):
+    """Parity under node reversal (+1 even, -1 odd) of the top-n eigenvectors, from kernel_matrix."""
+    mat, w = kernel_matrix(k, grid)
+    sw = np.sqrt(w)
+    ev, vec = np.linalg.eig(sw[:, None] * mat * sw[None, :])
+    top = vec[:, np.argsort(-np.abs(ev))[:n]].real
+    return np.sign(np.einsum("ai,ai->i", top[::-1], top))
 
 
 def _positive_2d(a, g, theta):
@@ -155,14 +201,31 @@ KERNEL_1D = QuadraticKernel(1, 0.45, np.array([[0.62, -0.31], [-0.31, 0.55]]))
 KERNEL_2D = QuadraticKernel(2, 0.3, np.block([
     [np.array([[0.80, 0.10], [0.10, 0.70]]), np.array([[-0.25, -0.05], [-0.05, -0.20]])],
     [np.array([[-0.25, -0.05], [-0.05, -0.20]]), np.array([[0.76, 0.07], [0.07, 0.73]])]]))
+# the package's own kernels (3->6/3->6 at beta 0.6 is the benchmark's anchor
+# quench); their top eigenvectors alternate between the even and the odd block
+RHO_1D = thermal_rho_single(mode_thermo(ModeQuench(3, 5), 0.7))
+RHO_2D = coupled_state(QuenchSpec(3, 6, 3, 6), 0.6)
+SIGMA_2D = partial_transpose(RHO_2D)
+_G40 = QuadratureGrid.make(40, 5.0)
 
 
 class TestSymmetricAndGeneralRoutes:
     """Both routes of the oracle against a test-local reference on the same grid."""
 
-    CASES = [(KERNEL_1D, QuadratureGrid.make(40, 5.0), False),
+    # even and odd node counts: an odd grid puts its centre node in the even block
+    CASES = [(KERNEL_1D, _G40, False),
              (KERNEL_2D, QuadratureGrid.make(32, 4.5), False),
-             (_product_kernel(), QuadratureGrid.make(32, 4.5), True)]
+             (_product_kernel(), QuadratureGrid.make(32, 4.5), True),
+             (KERNEL_1D, QuadratureGrid.make(41, 5.0), False),
+             (KERNEL_2D, QuadratureGrid.make(33, 4.5), False),
+             (RHO_1D, QuadratureGrid.for_kernel(RHO_1D, 40), False),
+             (RHO_1D, QuadratureGrid.for_kernel(RHO_1D, 41), False),
+             (RHO_2D, QuadratureGrid.for_kernel(RHO_2D, 32), False),
+             (RHO_2D, QuadratureGrid.for_kernel(RHO_2D, 33), False),
+             (SIGMA_2D, QuadratureGrid.for_kernel(SIGMA_2D, 32), False),
+             (SIGMA_2D, QuadratureGrid.for_kernel(SIGMA_2D, 33), False),
+             # a hand-built grid without node parity
+             (KERNEL_1D, QuadratureGrid(40, 5.0, _G40.nodes + 0.25, _G40.weights), True)]
 
     @staticmethod
     def _counting(monkeypatch):
@@ -177,13 +240,21 @@ class TestSymmetricAndGeneralRoutes:
         return calls
 
     def test_cases_have_the_intended_cross_block(self):
-        for k, _, general in self.CASES:
+        for k, grid, general in self.CASES:
+            d = k.dim
+            asym = np.abs(k.q[:d, d:] - k.q[d:, :d]).max()
+            assert asym > 1e-3 or asym < 1e-15
+            parity = np.array_equal(grid.nodes, -grid.nodes[::-1])
+            assert general == (asym > 1e-3 or not parity)
+        # Q_oo != Q_ii: the hand-built kernels make the diagonal similarity non-trivial
+        for k, _, _ in self.CASES[:3]:
             d = k.dim
             assert np.abs(k.q[:d, :d] - k.q[d:, d:]).max() > 1e-3
-            asym = np.abs(k.q[:d, d:] - k.q[d:, :d]).max()
-            assert (asym > 1e-3) if general else (asym == 0.0)
+        # the top 6 eigenvalues of case 6 lie in both parity blocks
+        k, grid, _ = self.CASES[6]
+        assert set(_top_parities(k, grid, 6)) == {1.0, -1.0}
 
-    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("case", range(len(CASES)))
     def test_spectrum_dense_and_top_k(self, case, monkeypatch):
         k, grid, general = self.CASES[case]
         ref, _ = _reference(k, grid)
@@ -199,7 +270,7 @@ class TestSymmetricAndGeneralRoutes:
         if not general:
             assert dense.imag_residue == 0.0 and top.imag_residue == 0.0
 
-    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("case", range(len(CASES)))
     def test_trace_powers(self, case, monkeypatch):
         k, grid, general = self.CASES[case]
         _, ref = _reference(k, grid)
