@@ -5,11 +5,12 @@ Usage: python scripts/oracle_layers.py
 The process pins itself to one CPU and caps the BLAS pools at one thread
 before numpy loads.  The kernel is the partial transpose sigma of the
 3->6/3->6 quench at beta = 0.6, on its ``QuadratureGrid.for_kernel`` grid.
-Four layers are timed on their own: assembly of the even and odd parity
-blocks, the ARPACK top-12 eigensolve of both blocks, and the p = 2 and
-p = 3 trace contractions of the blocks; so are the public calls that chain
-them.  Prints JSON on stdout: the machine, the problem, and per entry the
-median, minimum and maximum over the runs in ms.
+Four layers are timed on their own: assembly of the symmetry blocks (one
+per character of the kernel's grid symmetry group, four for sigma), the
+ARPACK top-12 eigensolve of every block, and the p = 2 and p = 3 trace
+contractions of the blocks; so are the public calls that chain them.
+Prints JSON on stdout: the machine, the problem with its block sizes, and
+per entry the median, minimum and maximum over the runs in ms.
 """
 
 from __future__ import annotations
@@ -57,14 +58,14 @@ def main() -> None:
     rho = oq.thermal_rho_coupled(oq.mode_thermo(m1, BETA), oq.mode_thermo(m2, BETA))
     sigma = oq.partial_transpose(rho)
     grid = oq.QuadratureGrid.for_kernel(sigma, POINTS)
-    blocks = oracle._parity_blocks(sigma, grid)
+    blocks = oracle._symmetry_blocks(sigma, grid)
     if blocks is None:
         raise SystemExit("the kernel does not take the symmetric route")
 
     import scipy
 
     layers = {
-        "assembly": lambda: oracle._parity_blocks(sigma, grid),
+        "assembly": lambda: oracle._symmetry_blocks(sigma, grid),
         "top12_eigensolve": lambda: oracle._parity_eigvals(blocks, TOP_K),
         "p2_contraction": lambda: oracle._parity_trace(blocks, 2),
         "p3_contraction": lambda: oracle._parity_trace(blocks, 3),

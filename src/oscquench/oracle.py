@@ -3,7 +3,9 @@
 Everything here consumes only the (dim, norm, Q) data of a kernel — never
 the closed-form spectral formulas it is used to check.  Integral operators
 are discretised on Gauss-Legendre nodes (Nystrom method); traces and trace
-powers are quadrature contractions with grid-refinement error estimates.
+powers are quadrature contractions.  Their error estimates add two parts:
+the change under grid refinement, and a bound on the kernel's mass beyond
+the grid's half-width L, which refinement keeps and so cannot see.
 
 A kernel norm * exp(-v^T Q v), v = (out, in), has the blocks Q_oo, Q_oi and
 Q_ii.  When Q_oi is symmetric, the weighted matrix W^1/2 K W^1/2 is
@@ -13,19 +15,25 @@ again real symmetric kernels (Simon, PRL 84, 2726 (2000)).
 
 The kernel is centred (no linear term) and the nodes of a QuadratureGrid are
 exactly antisymmetric, its weights exactly symmetric (``leggauss``
-symmetrises them).  So reversing the flat node index a -> m-1-a maps p_a to
--p_a and leaves S_w invariant, and in the basis (e_a +- e_{m-1-a})/sqrt 2
-S_w is the direct sum of an even block E and an odd block O of about m/2
-rows each.  With h = m // 2, A[a, c] = S_w[a, c] and B[a, c] = S_w[a, m-1-c]
-for a, c < h, E = A + B and O = A - B; for odd m the centre node (p = 0)
-joins E with the column sqrt 2 S_w[a, centre].  Only E and O are assembled,
-with the weights folded into their exponents: half the ``exp`` work of S_w
-and no m x m buffer.  Spectra are those of E and O from symmetric
-eigensolvers (``eigvalsh``, ARPACK ``eigsh``), tr S_w^2 = |E|^2 + |O|^2,
-and tr S_w^3 takes one symmetric rank-k product per block, m^3/4 flops in
-all against m^3 for S_w.
+symmetrises them).  So the parity P: x -> -x, which reverses the flat node
+index, leaves S_w invariant.  Both oscillators of the model share k0, so a
+two-mode kernel is also invariant under the exchange X: x1 <-> x2, which
+maps the tensor grid onto itself.  S_w therefore splits over the characters
+chi of the group {I, P} (1-d, or a 2-d kernel without the exchange) or
+{I, P, X, PX}.  Over one representative r per node orbit the block of chi is
+sum_h chi(h) S_w[r, h s] / sqrt(|Stab r| |Stab s|), kept on the
+representatives whose stabiliser chi fixes (for odd grids the centre node
+only in the fully symmetric block).  Each T_h[r, s] = S_w[r, h s] is one
+assembly with the cross block Q_oi G_h, and one Walsh-Hadamard butterfly,
+(a, b) -> (a + b, a - b) per generator, combines them in place.  On a 2-d
+grid of m nodes that is four blocks of about m/4 rows: a quarter of the
+``exp`` work of S_w and no m x m buffer.  Spectra are those of the blocks
+from symmetric eigensolvers (``eigvalsh``, ARPACK ``eigsh``), tr S_w^2 is
+the sum of their squared norms, and tr S_w^3 takes one symmetric rank-k
+product per block, m^3/16 flops in all against m^3 for S_w (m^3/4 on the
+{I, P} route).
 
-A kernel with an asymmetric Q_oi, or a grid built by hand without that
+A kernel with an asymmetric Q_oi, or a grid built by hand without the node
 parity, takes the general route: the kernel matrix, a general eigensolve
 whose imaginary residue is checked, general products.  tr K needs only the
 kernel's diagonal and costs O(m) on either route.
@@ -57,7 +65,10 @@ class QuadratureGrid:
     """Gauss-Legendre nodes/weights on [-L, L], tensorised for 2-d kernels.
 
     ``make`` gives exactly antisymmetric nodes and symmetric weights, the
-    parity the oracle's symmetric route relies on.
+    parity P the oracle's symmetric route relies on; the tensor grid uses
+    the same nodes on both axes, so the exchange x1 <-> x2 maps it onto
+    itself.  ``refined`` and ``coarsened`` keep L, so the oracle's error
+    estimates bound the kernel's mass beyond +-L separately.
     """
 
     n_points: int
@@ -112,9 +123,10 @@ def _quad(p: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("ai,ij,aj->a", p, a, p)
 
 
-def _assemble(p: np.ndarray, h_out: np.ndarray, q_oi: np.ndarray, h_in: np.ndarray) -> np.ndarray:
-    """exp(h_out[a] - 2 p_a^T Q_oi p_b + h_in[b]), built in place in one m x m buffer."""
-    out = p @ (-2.0 * q_oi) @ p.T
+def _assemble(p: np.ndarray, h_out: np.ndarray, q_oi: np.ndarray, h_in: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """exp(h_out[a] - 2 p_a^T Q_oi p_b + h_in[b]), built in place in one m x m buffer (``out`` if given)."""
+    out = np.matmul(p @ (-2.0 * q_oi), p.T, out=out)
     out += h_out[:, None]
     out += h_in[None, :]
     return np.exp(out, out=out)
@@ -129,39 +141,100 @@ def kernel_matrix(k: QuadraticKernel, grid: QuadratureGrid):
     return mat, w
 
 
-def _parity_blocks(k: QuadraticKernel, grid: QuadratureGrid):
-    """Even and odd blocks (E, O) of the symmetric S_w = D^-1 W^1/2 K W^1/2 D, or None.
+def _symmetry_blocks(k: QuadraticKernel, grid: QuadratureGrid):
+    """Blocks of the symmetric S_w = D^-1 W^1/2 K W^1/2 D, one per character of its symmetry group, or None.
 
     With M = (Q_oo + Q_ii)/2 the exponent is x'Mx' + 2x'Q_oi x + xMx
     + e(x') - e(x), e(x) = x(Q_oo - Q_ii)x/2, so the e terms are the
     diagonal similarity D = diag(exp(-e)), and S_w is symmetric exactly when
-    Q_oi is.  S_w[a, m-1-c] is S_w[a, c] with Q_oi negated, since
-    p_{m-1-c} = -p_c, so B is assembled like A.  ``None`` when Q_oi is not
-    symmetric to 1e-12 of max |Q|, or the grid lacks the node parity.
+    Q_oi is.  The group is generated by node involutions g, x_{g a} = G x_a,
+    that leave S_w invariant: the parity P (G = -1) always, and for a 2-d
+    kernel whose M and Q_oi commute with the exchange x1 <-> x2 to 1e-12 of
+    max |Q|, the exchange X too.  Over one representative r per node orbit,
+    T_h[r, s] = S_w[r, h s] is ``_assemble`` with the cross block Q_oi G_h,
+    and the character chi has the block
+    sum_h chi(h) T_h[r, s] / sqrt(|Stab r| |Stab s|) on the representatives
+    whose stabiliser chi fixes (any other row vanishes).  ``None`` when Q_oi
+    is not symmetric to 1e-12 of max |Q|, or the grid lacks the node parity.
     """
     d = k.dim
-    q_oi = k.q[:d, d:]
-    if np.abs(q_oi - q_oi.T).max() > _SYM_TOL * max(np.abs(k.q).max(), 1.0):
+    q = k.q
+    tol = _SYM_TOL * max(np.abs(q).max(), 1.0)
+    q_oi = q[:d, d:]
+    if np.abs(q_oi - q_oi.T).max() > tol:
         return None
     if not (np.array_equal(grid.nodes, -grid.nodes[::-1])
             and np.array_equal(grid.weights, grid.weights[::-1])):
         return None
     p, w = _points(k, grid)
-    half = len(w) // 2
-    n_even = len(w) - half
-    p, w = p[:n_even], w[:n_even]
-    # the norm and the weights enter as sqrt(norm w_a) sqrt(norm w_c)
-    h = 0.5 * (math.log(k.norm) + np.log(w)) - _quad(p, (k.q[:d, :d] + k.q[d:, d:]) / 2)
+    m = len(w)
+    big_m = (q[:d, :d] + q[d:, d:]) / 2
     q_sym = (q_oi + q_oi.T) / 2
-    even = _assemble(p, h, q_sym, h)
-    odd = _assemble(p[:half], h[:half], -q_sym, h[:half])
-    even[:half, :half] += odd
-    odd *= -2.0
-    odd += even[:half, :half]
-    if n_even > half:
-        even[half, :half] *= math.sqrt(2.0)
-        even[:half, half] *= math.sqrt(2.0)
-    return even, odd
+    # generators as (node permutation, coordinate map); P reverses the flat index on either grid
+    gens = [(np.arange(m)[::-1], -np.eye(d))]
+    if d == 2:
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        m_x, q_x = swap @ big_m @ swap, swap @ q_sym @ swap
+        if max(np.abs(big_m - m_x).max(), np.abs(q_sym - q_x).max()) <= tol:
+            big_m, q_sym = (big_m + m_x) / 2, (q_sym + q_x) / 2
+            gens.append((np.arange(m).reshape(grid.n_points, -1).T.ravel(), swap))
+    # group elements in binary order: bit j of an element's index marks generator j
+    perms, maps = [np.arange(m)], [np.eye(d)]
+    for perm, g in gens:
+        perms += [perm[e] for e in perms]
+        maps += [g @ e for e in maps]
+    perms = np.array(perms)
+    # each orbit's lowest node is its representative; fixes[h, r]: element h fixes r
+    reps = np.flatnonzero(perms.min(axis=0) == np.arange(m))
+    fixes = perms[:, reps] == reps
+    # free representatives first, then grouped by stabiliser: each character keeps few runs
+    order = np.argsort(np.dot(1 << np.arange(len(perms)), fixes), kind="stable")
+    reps, fixes = reps[order], fixes[:, order]
+    p = p[reps]
+    # the norm and the weights enter as sqrt(norm w_r) sqrt(norm w_s), the stabilisers as above
+    h = (0.5 * (math.log(k.norm) + np.log(w[reps]) - np.log(fixes.sum(axis=0)))
+         - _quad(p, big_m))
+    # one buffer for all T_h: a single large allocation faults its pages in far faster than several
+    blocks = list(np.empty((len(maps), len(reps), len(reps))))
+    for block, g in zip(blocks, maps):
+        _assemble(p, h, q_sym @ g, h, out=block)
+    # Walsh-Hadamard butterfly in place: blocks[c] becomes sum_b (-1)^popcount(b & c) T_b
+    n = len(blocks)
+    step = 1
+    while step < n:
+        for b in range(n):
+            if not b & step:
+                lo, hi = blocks[b], blocks[b | step]
+                lo += hi
+                hi *= -2.0
+                hi += lo
+        step *= 2
+    # character c keeps a representative when it is +1 on every element that fixes it
+    signs = np.array([[(-1) ** bin(b & c).count("1") for b in range(n)] for c in range(n)])
+    for c in range(n):
+        keep = np.flatnonzero(~np.any(fixes & (signs[c][:, None] < 0), axis=0))
+        if len(keep) < len(reps):
+            blocks[c] = _compact(blocks[c], keep)
+    return blocks
+
+
+def _compact(block: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """block[keep][:, keep] for ascending ``keep``, C-contiguous in the C-contiguous block's own memory."""
+    n, k = len(block), len(keep)
+    # move each later run of kept indices down to its place in the prefix, rows and columns
+    cuts = np.flatnonzero(np.diff(keep) != 1) + 1
+    for start, run in zip(np.r_[0, cuts], np.split(keep, cuts)):
+        if run[0] != start:
+            block[start:start + len(run)] = block[run[0]:run[-1] + 1]
+            block[:, start:start + len(run)] = block[:, run[0]:run[-1] + 1]
+    # close the row stride from n to k in chunks whose source and destination do not overlap
+    flat = block.reshape(-1)
+    i = 1
+    while i < k:
+        j = min(k, max(i + 1, i * n // k))
+        flat[i * k:j * k].reshape(j - i, k)[...] = block[i:j, :k]
+        i = j
+    return flat[:k * k].reshape(k, k)
 
 
 def _parity_eigvals(blocks, top_k) -> np.ndarray:
@@ -195,7 +268,7 @@ def _spectrum_once(k: QuadraticKernel, grid: QuadratureGrid, top_k):
             f"dense eigensolve capped at {FULL_EIG_MAX} nodes (got {m}); pass top_k for economy mode")
     # scipy is imported inside the functions that use it, not at module level: it
     # costs the CLI, which never calls the oracle, most of its start-up time and memory
-    blocks = _parity_blocks(k, grid)
+    blocks = _symmetry_blocks(k, grid)
     if blocks is not None:
         ev = _parity_eigvals(blocks, top_k)
         residue = 0.0
@@ -227,18 +300,24 @@ def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None
     When the cross block Q_oi of the exponent is symmetric, as in every
     kernel the package builds (Hermitian states and their partial
     transposes), W^1/2 K W^1/2 = D S_w D^-1 with S_w symmetric and D
-    diagonal.  On a QuadratureGrid, whose nodes are exactly antisymmetric,
-    the centred kernel makes S_w invariant under a -> m-1-a, so the
-    spectrum is the union of those of its even and odd blocks of about m/2
-    rows: symmetric eigensolves (Lanczos per block for ``top_k``), real by
+    diagonal.  On a QuadratureGrid the centred kernel makes S_w invariant
+    under the parity P, and a two-mode kernel of the package also under the
+    exchange X, so the spectrum is the union of those of one block per
+    character of {I, P} or {I, P, X, PX} (see the module docstring):
+    symmetric eigensolves (Lanczos per block for ``top_k``), real by
     construction, ``imag_residue`` 0.  Only a kernel with an asymmetric Q_oi
-    (or a hand-built grid without that parity) takes the general real
+    (or a hand-built grid without the node parity) takes the general real
     eigensolve, where genuinely complex output is an error.
 
     Returns min(``top_k``, m) eigenvalues sorted by |lambda| descending, all
-    m without ``top_k``; ``top_k`` < 1 is refused.  The error estimate
-    compares against a refined or coarsened grid; with ``tol`` set, a
-    non-converged estimate raises instead of passing silently.
+    m without ``top_k``; ``top_k`` < 1 is refused.  The error estimate is
+    the change of the leading eigenvalues on a refined or coarsened grid,
+    plus tau / (1 - tau) |tr K|, with tau the bound on the share of the
+    diagonal envelope exp(-x^T D x), D = Q_oo + Q_oi + Q_oi^T + Q_ii, beyond
+    +-L: restricting a positive kernel to the box lowers each eigenvalue by
+    at most the trace it loses.  A D that is not positive definite is
+    refused.  With ``tol`` set, an estimate above 10 ``tol`` raises instead
+    of passing silently.
     """
     if k.dim == 2 and grid.n_points > ECONOMY_MAX_AXIS:
         raise DomainError(f"2-d grids capped at {ECONOMY_MAX_AXIS} points per axis")
@@ -256,21 +335,49 @@ def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None
             other, _ = _spectrum_once(k, grid.coarsened(), n_check)
         n_cmp = min(len(ev), len(other), n_check)
         err = float(np.abs(ev[:n_cmp] - other[:n_cmp]).max())
+        err += _truncation_error(_truncation(k, grid), 1, _trace_once(k, 1, grid))
         if tol is not None and err > 10 * tol:
             raise NumericalFailureError(
-                f"spectrum not converged: grid-refinement change {err:.3e} > 10 x tol {tol:.1e}")
+                f"spectrum not converged: error estimate {err:.3e} > 10 x tol {tol:.1e}")
     return NumericSpectrum(eigenvalues=ev, error_estimate=err, imag_residue=residue)
+
+
+def _diagonal_exponent(k: QuadraticKernel) -> np.ndarray:
+    """D of the kernel's diagonal K(x, x) = norm exp(-x^T D x)."""
+    d = k.dim
+    q = k.q
+    return q[:d, :d] + q[:d, d:] + q[d:, :d] + q[d:, d:]
+
+
+def _truncation(k: QuadraticKernel, grid: QuadratureGrid) -> float:
+    """Bound tau on the share of the diagonal envelope exp(-x^T D x) outside [-L, L]^d.
+
+    Coordinate x_i of the envelope is Gaussian with variance (D^-1)_ii / 2, so
+    tau = sum_i erfc(L / sqrt((D^-1)_ii)), exact for d = 1.  A D that is not
+    positive definite has no finite trace and is refused.
+    """
+    env = _diagonal_exponent(k)
+    if np.linalg.eigvalsh(env).min() <= 0:
+        raise DomainError("the kernel's diagonal exp(-x^T D x) has D not positive definite; tr K diverges")
+    return sum(math.erfc(grid.half_width / math.sqrt(v)) for v in np.diag(np.linalg.inv(env)))
+
+
+def _truncation_error(tau: float, p: int, value: float) -> float:
+    """|value| ((1 - tau)^-p - 1): the part of tr K^p outside the box, given ``value`` inside it.
+
+    If each of the p points of the Gaussian integrand lies in the box with
+    probability at least 1 - tau, all p do with probability at least
+    (1 - tau)^p (Gaussian correlation inequality).
+    """
+    return abs(value) * math.expm1(-p * math.log1p(-tau)) if tau < 1 else math.inf
 
 
 def _trace_once(k: QuadraticKernel, p: int, grid: QuadratureGrid) -> float:
     if p == 1:
         # tr K = sum_a w_a K(x_a, x_a): the diagonal alone, O(m) for any kernel
         pts, w = _points(k, grid)
-        d = k.dim
-        q = k.q
-        diag = q[:d, :d] + q[:d, d:] + q[d:, :d] + q[d:, d:]
-        return float(k.norm * np.dot(w, np.exp(-_quad(pts, diag))))
-    blocks = _parity_blocks(k, grid)
+        return float(k.norm * np.dot(w, np.exp(-_quad(pts, _diagonal_exponent(k)))))
+    blocks = _symmetry_blocks(k, grid)
     if blocks is not None:
         return _parity_trace(blocks, p)
     mat, w = kernel_matrix(k, grid)
@@ -285,12 +392,19 @@ def trace_power(k: QuadraticKernel, p: int, grid: QuadratureGrid,
     """tr K^p for p in {1, 2, 3} by p-fold quadrature contraction.
 
     p = 1 sums the kernel's diagonal, O(m).  For p = 2, 3 the symmetric
-    route contracts the even and odd blocks of S_w (see ``nystrom_spectrum``):
-    tr S_w^2 = |E|^2 + |O|^2, and tr S_w^3 = tr E^3 + tr O^3 by one symmetric
-    rank-k product per block, m^3/4 flops in all.
+    route contracts the symmetry blocks B_chi of S_w (see
+    ``nystrom_spectrum``): tr S_w^2 = sum |B_chi|^2, and tr S_w^3 =
+    sum tr B_chi^3 by one symmetric rank-k product per block, m^3/16 flops
+    in all for a two-mode kernel of the package.
 
-    Returns ``(value, error_estimate)``; the estimate is the change under
-    grid refinement (halved grid for large 2-d problems).
+    Returns ``(value, error_estimate)``.  The estimate is the change under
+    grid refinement (halved grid for large 2-d problems) plus
+    |value| ((1 - tau)^-p - 1), with tau the bound on the share of the
+    diagonal envelope exp(-x^T D x) beyond +-L (see ``nystrom_spectrum``).
+    For p = 1 in 1-d that term is the missing mass exactly; for p = 2, 3 it
+    holds when each of the p points of the integrand is no more spread than
+    the diagonal, as for thermal states.  A D that is not positive definite
+    is refused.  With ``tol`` set, an estimate above 10 ``tol`` raises.
     """
     if p not in (1, 2, 3):
         raise DomainError(f"p must be 1, 2 or 3, got {p}")
@@ -301,10 +415,10 @@ def trace_power(k: QuadraticKernel, p: int, grid: QuadratureGrid,
             other = _trace_once(k, p, grid.coarsened())
         else:
             other = _trace_once(k, p, grid.refined())
-        err = abs(value - other)
+        err = abs(value - other) + _truncation_error(_truncation(k, grid), p, value)
         if tol is not None and err > 10 * tol:
             raise NumericalFailureError(
-                f"trace power not converged: refinement change {err:.3e} > 10 x tol {tol:.1e}")
+                f"trace power not converged: error estimate {err:.3e} > 10 x tol {tol:.1e}")
     return value, err
 
 

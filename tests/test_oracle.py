@@ -1,15 +1,18 @@
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscquench import oracle
 from oscquench import (DomainError, ModeQuench, NumericalFailureError, QuadraticKernel,
                        QuadratureGrid, QuenchSpec, kernel_matrix, mehler_check,
-                       mode_thermo, normal_modes, nystrom_spectrum, partial_transpose,
-                       pt_spectrum_const, thermal_rho_coupled, thermal_rho_single,
-                       trace_power)
+                       beta_star, mode_thermo, normal_modes, nystrom_spectrum,
+                       partial_transpose, pt_spectrum_const, thermal_rho_coupled,
+                       thermal_rho_single, trace_power)
 
 
 def coupled_state(spec, beta):
@@ -132,9 +135,11 @@ class TestTracePower:
             trace_power(k, 4, QuadratureGrid.for_kernel(k))
 
     def test_symmetric_route_allocates_no_full_matrix(self):
-        # E and O hold m^2/2 doubles; a full m x m S_w would be m^2
+        # the four Z2 x Z2 blocks hold about m^2/4 doubles; a full m x m S_w would be m^2
         grid = QuadratureGrid.for_kernel(RHO_2D, 56)
-        limit = 0.8 * 8 * (56 ** 2) ** 2
+        limit = 0.45 * 8 * (56 ** 2) ** 2
+        # imported outside the traced region: the bound is on the route's arrays, not on imports
+        import scipy.sparse.linalg  # noqa: F401
         calls = [lambda: trace_power(RHO_2D, 3, grid, with_error=False),
                  lambda: trace_power(RHO_2D, 2, grid, with_error=False),
                  lambda: nystrom_spectrum(RHO_2D, grid, top_k=12, with_error=False)]
@@ -151,6 +156,57 @@ class TestTracePower:
         k = thermal_rho_single(mode_thermo(ModeQuench(1, 1), 1.0))
         with pytest.raises(NumericalFailureError):
             trace_power(k, 2, QuadratureGrid.for_kernel(k, 64), tol=1e-19)
+
+
+class TestTruncation:
+    """Refining or coarsening keeps the half-width L: the estimates add the mass beyond +-L."""
+
+    BETAS = [0.05, 0.1, 0.2]
+
+    @staticmethod
+    def _ladder(beta):
+        """omega = 1 at rest: lambda_n = (1 - xi) xi^n, tr rho^p = (1 - xi)^p / (1 - xi^p)."""
+        k = thermal_rho_single(mode_thermo(ModeQuench(1, 1), beta))
+        return k, QuadratureGrid.for_kernel(k, 200), math.exp(-beta)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_trace_estimate_covers_the_error(self, beta):
+        k, grid, xi = self._ladder(beta)
+        for p in (1, 2, 3):
+            value, err = trace_power(k, p, grid)
+            exact = (1 - xi) ** p / (1 - xi ** p)
+            # for p = 1 the bound is exact, so it covers the error up to rounding
+            assert abs(value - exact) <= err + 1e-14 * exact
+            with pytest.raises(NumericalFailureError):
+                trace_power(k, p, grid, tol=1e-8)
+        # in 1-d the bound is the mass beyond +-L itself
+        value, err = trace_power(k, 1, grid)
+        assert err == pytest.approx(1 - value, rel=1e-9)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_spectrum_estimate_covers_the_error(self, beta):
+        k, grid, xi = self._ladder(beta)
+        sp = nystrom_spectrum(k, grid, top_k=12)
+        exact = (1 - xi) * xi ** np.arange(12)
+        assert np.abs(sp.eigenvalues - exact).max() <= sp.error_estimate
+        with pytest.raises(NumericalFailureError):
+            nystrom_spectrum(k, grid, top_k=12, tol=1e-8)
+
+    def test_mode_of_the_anchor_quench(self):
+        # mode 0 of 3->6/3->6 at beta 0.05: a sixth of tr rho = 1 lies beyond +-L
+        k = thermal_rho_single(mode_thermo(normal_modes(QuenchSpec(3, 6, 3, 6))[0], 0.05))
+        value, err = trace_power(k, 1, QuadratureGrid.for_kernel(k, 200))
+        assert value == pytest.approx(0.8328, abs=1e-4)
+        assert err == pytest.approx(1 - value, rel=1e-9)
+
+    def test_diagonal_without_finite_trace_refused(self):
+        # K(x, x) = exp(+0.1 x^2)
+        k = QuadraticKernel(1, 1.0, np.array([[0.5, -0.55], [-0.55, 0.5]]))
+        grid = QuadratureGrid.make(32, 4.0)
+        with pytest.raises(DomainError):
+            trace_power(k, 1, grid)
+        with pytest.raises(DomainError):
+            nystrom_spectrum(k, grid, top_k=4)
 
 
 def _reference(k, grid):
@@ -201,31 +257,61 @@ KERNEL_1D = QuadraticKernel(1, 0.45, np.array([[0.62, -0.31], [-0.31, 0.55]]))
 KERNEL_2D = QuadraticKernel(2, 0.3, np.block([
     [np.array([[0.80, 0.10], [0.10, 0.70]]), np.array([[-0.25, -0.05], [-0.05, -0.20]])],
     [np.array([[-0.25, -0.05], [-0.05, -0.20]]), np.array([[0.76, 0.07], [0.07, 0.73]])]]))
+# the exchange x1 <-> x2 kept by Q_oi but broken by M = (Q_oo + Q_ii)/2, and the reverse
+KERNEL_2D_M_BREAKS_X = QuadraticKernel(2, 0.3, np.block([
+    [np.array([[0.80, 0.10], [0.10, 0.70]]), np.array([[-0.25, -0.05], [-0.05, -0.25]])],
+    [np.array([[-0.25, -0.05], [-0.05, -0.25]]), np.array([[0.76, 0.07], [0.07, 0.73]])]]))
+KERNEL_2D_QOI_BREAKS_X = QuadraticKernel(2, 0.3, np.block([
+    [np.array([[0.80, 0.10], [0.10, 0.74]]), np.array([[-0.25, -0.05], [-0.05, -0.20]])],
+    [np.array([[-0.25, -0.05], [-0.05, -0.20]]), np.array([[0.76, 0.07], [0.07, 0.82]])]]))
 # the package's own kernels (3->6/3->6 at beta 0.6 is the benchmark's anchor
 # quench); their top eigenvectors alternate between the even and the odd block
 RHO_1D = thermal_rho_single(mode_thermo(ModeQuench(3, 5), 0.7))
 RHO_2D = coupled_state(QuenchSpec(3, 6, 3, 6), 0.6)
 SIGMA_2D = partial_transpose(RHO_2D)
 _G40 = QuadratureGrid.make(40, 5.0)
+# one block per character: {I, P, X, PX} for the package's two-mode kernels, {I, P} otherwise
+BLOCKS = {"PX": 4, "P": 2, "general": None}
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _exchange_residual(k):
+    """How far M = (Q_oo + Q_ii)/2 and Q_oi are from commuting with x1 <-> x2."""
+    q = k.q
+    return max(np.abs(_SWAP @ a @ _SWAP - a).max() for a in ((q[:2, :2] + q[2:, 2:]) / 2, q[:2, 2:]))
 
 
 class TestSymmetricAndGeneralRoutes:
-    """Both routes of the oracle against a test-local reference on the same grid."""
+    """Every route of the oracle against a test-local reference on the same grid."""
 
-    # even and odd node counts: an odd grid puts its centre node in the even block
-    CASES = [(KERNEL_1D, _G40, False),
-             (KERNEL_2D, QuadratureGrid.make(32, 4.5), False),
-             (_product_kernel(), QuadratureGrid.make(32, 4.5), True),
-             (KERNEL_1D, QuadratureGrid.make(41, 5.0), False),
-             (KERNEL_2D, QuadratureGrid.make(33, 4.5), False),
-             (RHO_1D, QuadratureGrid.for_kernel(RHO_1D, 40), False),
-             (RHO_1D, QuadratureGrid.for_kernel(RHO_1D, 41), False),
-             (RHO_2D, QuadratureGrid.for_kernel(RHO_2D, 32), False),
-             (RHO_2D, QuadratureGrid.for_kernel(RHO_2D, 33), False),
-             (SIGMA_2D, QuadratureGrid.for_kernel(SIGMA_2D, 32), False),
-             (SIGMA_2D, QuadratureGrid.for_kernel(SIGMA_2D, 33), False),
+    # even and odd node counts: an odd grid puts its centre node in the fully symmetric block
+    CASES = [(KERNEL_1D, _G40, "P"),
+             (KERNEL_2D, QuadratureGrid.make(32, 4.5), "P"),
+             (_product_kernel(), QuadratureGrid.make(32, 4.5), "general"),
+             (KERNEL_1D, QuadratureGrid.make(41, 5.0), "P"),
+             (KERNEL_2D, QuadratureGrid.make(33, 4.5), "P"),
+             (RHO_1D, QuadratureGrid.for_kernel(RHO_1D, 40), "P"),
+             (RHO_1D, QuadratureGrid.for_kernel(RHO_1D, 41), "P"),
+             (RHO_2D, QuadratureGrid.for_kernel(RHO_2D, 32), "PX"),
+             (RHO_2D, QuadratureGrid.for_kernel(RHO_2D, 33), "PX"),
+             (SIGMA_2D, QuadratureGrid.for_kernel(SIGMA_2D, 32), "PX"),
+             (SIGMA_2D, QuadratureGrid.for_kernel(SIGMA_2D, 33), "PX"),
              # a hand-built grid without node parity
-             (KERNEL_1D, QuadratureGrid(40, 5.0, _G40.nodes + 0.25, _G40.weights), True)]
+             (KERNEL_1D, QuadratureGrid(40, 5.0, _G40.nodes + 0.25, _G40.weights), "general"),
+             (KERNEL_2D_M_BREAKS_X, QuadratureGrid.make(32, 4.5), "P"),
+             (KERNEL_2D_M_BREAKS_X, QuadratureGrid.make(33, 4.5), "P"),
+             (KERNEL_2D_QOI_BREAKS_X, QuadratureGrid.make(33, 4.5), "P")]
+    # rho of a negative-J pair and sigma of an upward quench, at the other parity
+    for _k, _n in ((coupled_state(QuenchSpec(1, 1, -0.3, -0.3), 1.0), 33),
+                   (partial_transpose(coupled_state(QuenchSpec(1, 20, 5, 5), 0.3)), 32)):
+        CASES.append((_k, QuadratureGrid.for_kernel(_k, _n), "PX"))
+    HAND_BUILT = (0, 1, 2, 12, 14)
+
+    @staticmethod
+    @functools.cache
+    def _reference(case):
+        k, grid, _ = TestSymmetricAndGeneralRoutes.CASES[case]
+        return _reference(k, grid)
 
     @staticmethod
     def _counting(monkeypatch):
@@ -240,14 +326,19 @@ class TestSymmetricAndGeneralRoutes:
         return calls
 
     def test_cases_have_the_intended_cross_block(self):
-        for k, grid, general in self.CASES:
+        for k, grid, route in self.CASES:
             d = k.dim
             asym = np.abs(k.q[:d, d:] - k.q[d:, :d]).max()
             assert asym > 1e-3 or asym < 1e-15
             parity = np.array_equal(grid.nodes, -grid.nodes[::-1])
-            assert general == (asym > 1e-3 or not parity)
+            assert (route == "general") == (asym > 1e-3 or not parity)
+            if d == 2 and route != "general":
+                exchange = _exchange_residual(k)
+                assert exchange > 1e-3 or exchange < 1e-15
+                assert (route == "PX") == (exchange < 1e-15)
         # Q_oo != Q_ii: the hand-built kernels make the diagonal similarity non-trivial
-        for k, _, _ in self.CASES[:3]:
+        for case in self.HAND_BUILT:
+            k, _, _ = self.CASES[case]
             d = k.dim
             assert np.abs(k.q[:d, :d] - k.q[d:, d:]).max() > 1e-3
         # the top 6 eigenvalues of case 6 lie in both parity blocks
@@ -255,9 +346,19 @@ class TestSymmetricAndGeneralRoutes:
         assert set(_top_parities(k, grid, 6)) == {1.0, -1.0}
 
     @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_route_blocks(self, case):
+        k, grid, route = self.CASES[case]
+        blocks = oracle._symmetry_blocks(k, grid)
+        assert (None if blocks is None else len(blocks)) == BLOCKS[route]
+        if blocks is not None:
+            assert sum(len(b) for b in blocks) == grid.n_points ** k.dim
+            assert all(b.flags.c_contiguous for b in blocks)
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
     def test_spectrum_dense_and_top_k(self, case, monkeypatch):
-        k, grid, general = self.CASES[case]
-        ref, _ = _reference(k, grid)
+        k, grid, route = self.CASES[case]
+        general = route == "general"
+        ref, _ = self._reference(case)
         scale = np.abs(ref).max()
         calls = self._counting(monkeypatch)
         dense = nystrom_spectrum(k, grid, with_error=False)
@@ -272,14 +373,50 @@ class TestSymmetricAndGeneralRoutes:
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_trace_powers(self, case, monkeypatch):
-        k, grid, general = self.CASES[case]
-        _, ref = _reference(k, grid)
+        k, grid, route = self.CASES[case]
+        _, ref = self._reference(case)
         calls = self._counting(monkeypatch)
         for p in (1, 2, 3):
             value, _ = trace_power(k, p, grid, with_error=False)
             assert abs(value - ref[p - 1]) <= 1e-12 * abs(ref[p - 1])
         # tr K reads only the diagonal; p = 2, 3 build the kernel matrix only off the symmetric route
-        assert len(calls) == (2 if general else 0)
+        assert len(calls) == (2 if route == "general" else 0)
+
+
+@st.composite
+def _two_mode_state(draw):
+    """A spec of each kind the package accepts and a beta in its domain (omega_min beta in [0.3, 4])."""
+    kind = draw(st.sampled_from(["up", "down", "const", "negJ"]))
+    k0, j = draw(st.floats(0.5, 5.0)), draw(st.floats(0.1, 3.0))
+    r1, r2 = draw(st.floats(1.2, 4.0)), draw(st.floats(1.2, 4.0))
+    u1, u2 = draw(st.floats(0.05, 0.45)), draw(st.floats(0.05, 0.45))
+    spec = {"up": QuenchSpec(k0, k0 * r1, j, j * r2),
+            "down": QuenchSpec(k0, k0 / r1, j, j / r2),
+            "const": QuenchSpec(k0, k0, j, j),
+            "negJ": QuenchSpec(k0, k0, -k0 * u1, -k0 * u2)}[kind]
+    modes = normal_modes(spec)
+    omega_min = min(min(m.omega_i, m.omega_f) for m in modes)
+    beta = draw(st.floats(0.3, 4.0)) / omega_min
+    # a downward quench only below beta*, which at least one of its modes has
+    beta = min(beta, 0.9 * min(beta_star(m) for m in modes))
+    return spec, beta
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even_n", "odd_n"])
+@settings(max_examples=3, deadline=None, database=None)
+@given(state=_two_mode_state(), kernel=st.sampled_from(["rho", "sigma"]), data=st.data())
+def test_package_kernels_match_the_reference(parity, state, kernel, data):
+    """Random rho and sigma on 32-40 nodes per axis: the Z2 x Z2 route against kernel_matrix + eigvals."""
+    rho = coupled_state(*state)
+    k = rho if kernel == "rho" else partial_transpose(rho)
+    grid = QuadratureGrid.for_kernel(k, data.draw(st.sampled_from(range(32 + parity, 41, 2))))
+    assert len(oracle._symmetry_blocks(k, grid)) == 4
+    ref, traces = _reference(k, grid)
+    dense = nystrom_spectrum(k, grid, with_error=False).eigenvalues
+    assert np.abs(np.sort(dense) - ref).max() <= 1e-12 * np.abs(ref).max()
+    for p in (2, 3):
+        value, _ = trace_power(k, p, grid, with_error=False)
+        assert abs(value - traces[p - 1]) <= 1e-12 * abs(traces[p - 1])
 
 
 class TestKernelMatrix:
