@@ -1,4 +1,4 @@
-"""Per-layer timings of the Nystrom oracle's symmetric route at 56 x 56 nodes.
+"""Per-layer timings of the Nystrom oracle's symmetric route and of the Ermakov solvers.
 
 Usage: python scripts/oracle_layers.py
 
@@ -9,8 +9,14 @@ Four layers are timed on their own: assembly of the symmetry blocks (one
 per character of the kernel's grid symmetry group, four for sigma), the
 ARPACK top-12 eigensolve of every block, and the p = 2 and p = 3 trace
 contractions of the blocks; so are the public calls that chain them.
-Prints JSON on stdout: the machine, the problem with its block sizes, and
-per entry the median, minimum and maximum over the runs in ms.
+The ``ermakov`` entries time the two solver calls in the shape of the
+benchmark's ``verify`` ops: ``solve_real`` of the sudden quench 1.3 -> 2.7
+over t_max = 20 / 2.7 (about three periods) and ``solve_euclidean`` of the
+same quench up to beta = 2, each at the default tol and followed by its six
+dense-output queries.
+Prints JSON on stdout: the machine, the problem with its block sizes and
+the solvers' accepted step counts, and per entry the median, minimum and
+maximum over the runs in ms.
 """
 
 from __future__ import annotations
@@ -38,6 +44,9 @@ BETA = 0.6
 POINTS = 56
 TOP_K = 12
 RUNS = 7
+ERMAKOV_QUENCH = (1.3, 2.7)
+T_MAX = 20.0 / 2.7
+BETA_MAX = 2.0
 
 
 def _timed(fn) -> dict:
@@ -76,6 +85,19 @@ def main() -> None:
         "trace_power_p2": lambda: oq.trace_power(sigma, 2, grid, with_error=False),
         "trace_power_p3": lambda: oq.trace_power(sigma, 3, grid, with_error=False),
     }
+    sudden = oq.FrequencySchedule.sudden(*ERMAKOV_QUENCH)
+    mode = oq.ModeQuench(*ERMAKOV_QUENCH)
+
+    def real_op():
+        sol = oq.solve_real(sudden, T_MAX)
+        return [sol.b_at(T_MAX * k / 6) for k in range(1, 7)], len(sol.t)
+
+    def euclidean_op():
+        sol = oq.solve_euclidean(mode, BETA_MAX)
+        return ([(sol.b_at(b), sol.gamma_at(b)) for b in (BETA_MAX * k / 6 for k in range(1, 7))],
+                len(sol.t))
+
+    ermakov = {"solve_real": real_op, "solve_euclidean": euclidean_op}
     report = {
         "machine": {"nproc": os.cpu_count(), "pinned_cpu": cpu, "blas_threads": 1,
                     "python": platform.python_version(), "numpy": np.__version__,
@@ -83,8 +105,11 @@ def main() -> None:
         "problem": {"kernel": "sigma", "spec": SPEC, "beta": BETA, "points_per_axis": POINTS,
                     "nodes": POINTS ** 2, "block_sizes": [len(b) for b in blocks],
                     "runs": RUNS},
+        "ermakov_problem": {"quench": ERMAKOV_QUENCH, "t_max": T_MAX, "beta_max": BETA_MAX,
+                            "steps": {name: fn()[1] for name, fn in ermakov.items()}},
         "layers": {name: _timed(fn) for name, fn in layers.items()},
         "calls": {name: _timed(fn) for name, fn in calls.items()},
+        "ermakov": {name: _timed(fn) for name, fn in ermakov.items()},
     }
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,29 +7,39 @@ import pytest
 from oscquench import (DomainError, FrequencySchedule, ModeQuench, gamma_phase,
                        mode_thermo, solve_euclidean, solve_real,
                        sudden_phase_real, sudden_scale_real)
+from oscquench.ermakov import TOL_MIN
 
 
 def rk4_fixed(schedule, t_max, n_steps):
-    """Independent fixed-step classical RK4 oracle for the real-time equation."""
+    """Independent fixed-step classical RK4 oracle for the real-time equation.
+
+    Node k sits at k * h exactly, so the last node is t_max and a tabulated
+    schedule whose knots are multiples of h has no kink inside a step.
+    """
     w0sq = schedule.omega_initial**2
 
-    def f(t, y):
+    def f(t, b, v):
         w = schedule.omega_at(t)
-        return np.array([y[1], w0sq / y[0] ** 3 - w * w * y[0]])
+        return v, w0sq / b**3 - w * w * b
 
     h = t_max / n_steps
-    t, y = 0.0, np.array([1.0, 0.0])
-    ts, bs = [0.0], [1.0]
-    for _ in range(n_steps):
-        k1 = f(t, y)
-        k2 = f(t + h / 2, y + h / 2 * k1)
-        k3 = f(t + h / 2, y + h / 2 * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        ts.append(t)
-        bs.append(y[0])
-    return np.array(ts), np.array(bs)
+    b, v = 1.0, 0.0
+    bs = [b]
+    for k in range(n_steps):
+        t = k * h
+        k1b, k1v = f(t, b, v)
+        k2b, k2v = f(t + h / 2, b + h / 2 * k1b, v + h / 2 * k1v)
+        k3b, k3v = f(t + h / 2, b + h / 2 * k2b, v + h / 2 * k2v)
+        k4b, k4v = f(t + h, b + h * k3b, v + h * k3v)
+        b += h / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
+        v += h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        bs.append(b)
+    return np.arange(n_steps + 1) * h, np.array(bs)
+
+
+# a fixed count, so the reference does not coarsen as the solver takes fewer
+# steps; its own error at 40000 steps is below 1e-9 on every schedule below
+RK4_STEPS = 40_000
 
 
 class TestSolveReal:
@@ -56,19 +67,92 @@ class TestSolveReal:
         w = sched.omega_at(sol.t)
         inv = sched.omega_initial**2 / sol.b**2 + sol.db**2 + w**2 * sol.b**2
         assert np.all(np.isfinite(inv))
-        ts, bs = rk4_fixed(sched, 20.0, 10 * len(sol.t))
-        assert np.abs(sol.b_at(ts) - bs).max() < 1e-6
+        ts, bs = rk4_fixed(sched, 20.0, RK4_STEPS)
+        assert np.abs(sol.b_at(ts) - bs).max() < 1e-8
+
+    @pytest.mark.parametrize("sched, t_max", [
+        # knots at multiples of 2, a multiple of the reference's step
+        (FrequencySchedule.tabulated(np.linspace(0.0, 20.0, 11),
+                                     [1.0, 2.5, 1.5, 3.0, 0.8, 2.0, 1.2, 2.2, 1.7, 2.9, 1.1]), 20.0),
+        (FrequencySchedule.sudden(1.3, 2.7), 20.0 / 2.7),
+    ], ids=["tabulated", "sudden"])
+    def test_general_schedules_against_fixed_step_oracle(self, sched, t_max):
+        sol = solve_real(sched, t_max, tol=1e-11)
+        ts, bs = rk4_fixed(sched, t_max, RK4_STEPS)
+        assert np.abs(sol.b_at(ts) - bs).max() < 1e-8
 
     def test_schedule_crossing_zero_rejected(self):
         sched = FrequencySchedule.sinusoidal(0.5, 2.0, 1.0)  # dips to -1
         with pytest.raises(DomainError):
             solve_real(sched, 10.0)
 
+    @pytest.mark.parametrize("omega_f", [2.00000001, 2.0000001])
+    def test_shallow_dip_below_zero_rejected(self, omega_f):
+        # omega reaches 1 - (omega_f - 1) < 0 only near t = 3 pi / 0.5
+        with pytest.raises(DomainError, match="non-positive at t = 9.42"):
+            solve_real(FrequencySchedule.sinusoidal(1.0, omega_f, 0.5), 12.0)
+
+    def test_dip_beyond_t_max_accepted(self):
+        sched = FrequencySchedule.sinusoidal(1.0, 2.0000001, 0.5)
+        assert solve_real(sched, 9.0).b.min() > 0
+        # 1 - 1.5 sin t first turns negative at t = 0.73, before its minimum at pi / 2
+        with pytest.raises(DomainError, match="non-positive at t = 1.0: omega = -0.26"):
+            solve_real(FrequencySchedule.sinusoidal(1.0, -0.5, 1.0), 1.0)
+
     def test_tolerance_domain(self):
         with pytest.raises(DomainError):
             solve_real(FrequencySchedule.constant(1.0), 1.0, tol=1e-3)
         with pytest.raises(DomainError):
             solve_real(FrequencySchedule.constant(1.0), -1.0)
+
+
+class TestDenseOutput:
+    """The 1.3 -> 2.7 sudden quench over about three periods of omega_f."""
+
+    WI, WF, T = 1.3, 2.7, 20.0 / 2.7
+
+    def closed_forms(self, ts):
+        b = sudden_scale_real(self.WI, self.WF, ts)
+        db = -(self.WF**2 - self.WI**2) * self.WF * np.sin(2 * self.WF * ts) / (2 * self.WF**2 * b)
+        return b, db, sudden_phase_real(self.WI, self.WF, ts)
+
+    def test_default_tol_errors_and_step_count(self):
+        sol = solve_real(FrequencySchedule.sudden(self.WI, self.WF), self.T)
+        assert len(sol.t) < 400
+        ts = np.linspace(0.0, self.T, 2001)
+        b, db, gamma = self.closed_forms(ts)
+        assert np.abs(sol.b_at(ts) - b).max() < 1.4e-10
+        assert np.abs(sol.db_at(ts) - db).max() < 1.8e-9
+        assert np.abs(sol.gamma_at(ts) - gamma).max() < 3.9e-10
+
+    def test_db_at_against_closed_form(self):
+        sol = solve_real(FrequencySchedule.sudden(self.WI, self.WF), self.T, tol=1e-11)
+        ts = np.linspace(0.0, self.T, 2001)
+        _, db, _ = self.closed_forms(ts)
+        assert np.abs(sol.db_at(ts) - db).max() < 1e-8
+        assert sol.db_at(0.0) == 0.0 and isinstance(sol.db_at(1.0), float)
+
+    def test_accepted_steps_match_dense_output(self):
+        sol = solve_real(FrequencySchedule.sudden(self.WI, self.WF), self.T)
+        assert np.abs(sol.b_at(sol.t) - sol.b).max() < 1e-14
+        assert np.abs(sol.gamma_at(sol.t) - sol.gamma).max() < 1e-13
+        grid = np.linspace(0.0, self.T, 6).reshape(2, 3)
+        assert np.array_equal(sol.db_at(grid), sol.db_at(grid.ravel()).reshape(2, 3))
+        assert sol.b_at(np.empty(0)).shape == (0,)
+        with pytest.raises(DomainError):
+            sol.b_at(self.T + 1e-6)
+        with pytest.raises(DomainError):
+            sol.gamma_at([-1e-6, 1.0])
+
+    def test_tol_min_reaches_rounding_floor_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_real(FrequencySchedule.sudden(self.WI, self.WF), self.T, tol=TOL_MIN)
+            sol_e = solve_euclidean(ModeQuench(self.WI, self.WF), 2.0, tol=TOL_MIN)
+        ts = np.linspace(0.0, self.T, 2001)
+        b, _, _ = self.closed_forms(ts)
+        assert np.abs(sol.b_at(ts) - b).max() < 5e-12
+        assert sol_e.b_at(1.0) == pytest.approx(mode_thermo(ModeQuench(self.WI, self.WF), 1.0).b, rel=1e-12)
 
 
 class TestSolveEuclidean:
@@ -117,6 +201,14 @@ class TestGammaPhase:
         assert np.all(np.diff(g) > -1e-12)
         closed = sudden_phase_real(3.0, 5.0, ts)
         assert np.abs(g - closed).max() < 1e-8
+
+    def test_several_periods(self):
+        # eight periods of omega_f = 2.7, crossing sixteen branches of the arctangent
+        t_max = 8 * 2 * math.pi / 2.7
+        sol = solve_real(FrequencySchedule.sudden(1.3, 2.7), t_max, tol=1e-11)
+        ts = np.linspace(0, t_max, 4001)  # holds every caustic omega_f t = (k + 1/2) pi
+        assert np.abs(sol.gamma_at(ts) - sudden_phase_real(1.3, 2.7, ts)).max() < 1e-9
+        assert sudden_phase_real(1.3, 2.7, 1.5 * math.pi / 2.7) == pytest.approx(1.5 * math.pi, rel=1e-15)
 
     def test_euclidean_gamma(self):
         sol = solve_euclidean(ModeQuench(3.0, 5.0), 1.0, tol=1e-11)
