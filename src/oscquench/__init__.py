@@ -12,9 +12,9 @@ from .core import (BETA_FLOOR, ModeQuench, ModeThermo, QuenchSpec, Temperature, 
 from .ermakov import (ErmakovSolution, FrequencySchedule, gamma_phase, solve_euclidean,
                       solve_real, sudden_phase_real, sudden_scale_real)
 from .errors import (CausticError, DomainError, NonFactorizableError, NumericalFailureError)
-from .kernels import (Alphas, QuadraticKernel, RealTimeKernelParams, eval_kernel,
-                      partial_transpose, realtime_kernel_single, reduce_substate,
-                      rotate_to_normal_modes, thermal_rho_coupled, thermal_rho_single)
+from .kernels import (Alphas, QuadraticKernel, RealTimeKernelParams, partial_transpose,
+                      realtime_kernel_single, reduce_substate, rotate_to_normal_modes,
+                      thermal_rho_coupled, thermal_rho_single)
 from .negativity import (ConstFreqPT, CriticalTemp, PTMoments, boundary_g, check_separable,
                          critical_temperature, critical_temperature_sqm, g_inverse,
                          negativity, negativity_for_quench, pt_moments, pt_spectrum_const,

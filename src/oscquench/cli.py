@@ -1,10 +1,14 @@
-"""Config-driven temperature sweeps, figure presets and CSV emission.
+"""Config-driven temperature sweeps, figure presets, T_c tables and CSV emission.
 
 Output files carry a ``#``-prefixed provenance block (version, prefactor
-convention, config echo) above the CSV header.  Every curve and sweep column
-comes from :func:`oscquench.observables.observables`, evaluated as arrays
-over the whole temperature grid in one thread; the worker-count setting is
-accepted and ignored, so the bytes cannot depend on it.
+convention, config echo) above the CSV header, and every file is written by
+:func:`_csv_text`.  Every curve and sweep column comes from
+:func:`oscquench.observables.observables`, evaluated as arrays over the
+whole temperature grid in one thread; the worker-count setting is accepted
+and ignored, so the bytes cannot depend on it.  A sweep's ``tc`` column
+comes from :func:`oscquench.negativity.critical_temperature_sqm` for every
+spec; the ``tc`` table and fig4b, which start from frequency pairs, use
+:func:`oscquench.negativity.critical_temperature`.
 """
 
 from __future__ import annotations
@@ -12,13 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .core import ModeQuench, QuenchSpec, beta_star, mode_widths, normal_modes, purity_single
+from .core import (BETA_STAR_MARGIN, ModeQuench, QuenchSpec, beta_star, mode_widths, normal_modes,
+                   purity_single)
 from .core import mode_thermo  # noqa: F401  (unused here; bench/test_bench.py looks it up on this module)
 from .errors import DomainError, NumericalFailureError
 from .negativity import boundary_g, check_separable, critical_temperature, critical_temperature_sqm
@@ -107,76 +113,69 @@ class SweepConfig:
         }
 
 
+def _csv_text(comments, header, keys, values, flags=None) -> str:
+    """A ``#`` comment block, a header line and one CSV row per entry of the columns.
+
+    ``keys`` and ``values`` are equal-length numeric columns, each formatted
+    at once with '%.12g' (the bytes of f"{v:.12g}").  With ``flags`` (one
+    string per row, "" on a clean row) the flag is the last cell, and a
+    flagged row keeps its ``keys`` cells and leaves its ``values`` cells
+    empty.
+    """
+    def cells(column):
+        column = np.asarray(column, dtype=float).tolist()
+        return ("%.12g\n" * len(column) % tuple(column)).split("\n")[:-1]
+
+    columns = [cells(c) for c in keys]
+    blank = [] if flags is None else [i for i, flag in enumerate(flags) if flag]
+    for column in values:
+        column = cells(column)
+        for i in blank:
+            column[i] = ""
+        columns.append(column)
+    if flags is not None:
+        columns.append(flags)
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(header))
+    lines.extend(map(",".join, zip(*columns)))
+    return "\n".join(lines) + "\n"
+
+
+def _write(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 @dataclass
 class SweepResult:
+    """Sweep columns by header name (``T``, ``beta`` and one per observable) and row flags."""
+
     config: SweepConfig
-    columns: list[str]
-    rows: list[dict]
+    values: dict[str, np.ndarray]
+    flags: list[str]
     provenance: list[str] = field(default_factory=list)
 
     def to_csv_text(self) -> str:
-        lines = [f"# {line}" for line in self.provenance]
-        lines.append(",".join(self.columns))
-        for row in self.rows:
-            cells = []
-            for col in self.columns:
-                v = row[col]
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, str):
-                    cells.append(v)
-                else:
-                    cells.append(_fmt(v))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        cols = list(self.values.values())
+        return _csv_text(self.provenance, [*self.values, "warnings"], cols[:2], cols[2:], self.flags)
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv_text())
+        _write(path, self.to_csv_text())
 
 
-def _fmt(v: float) -> str:
-    if isinstance(v, float) and math.isnan(v):
-        return "nan"
-    return f"{v:.12g}"
-
-
-def _observable_columns(observables) -> list[str]:
-    cols = []
-    for obs in observables:
-        cols.append(obs.replace(":", "_") if obs.startswith("renyi:") else obs)
-    return cols
-
-
-def run_sweep(cfg: SweepConfig, threads: int | None = None) -> SweepResult:
-    """Evaluate all observables on the temperature grid.
-
-    ``threads`` (like ``cfg.threads``) is accepted and ignored: the grid is
-    evaluated as arrays, which leaves a thread pool nothing to share.
-    """
+def run_sweep(cfg: SweepConfig) -> SweepResult:
+    """Evaluate all observables on the temperature grid, as arrays over the whole grid."""
     temps = cfg.temperatures()
     values, flags = observables(cfg.quench, temps, [o for o in cfg.observables if o != "tc"])
     if "tc" in cfg.observables:
-        m1, m2 = normal_modes(cfg.quench)
-        if cfg.quench.is_constant:
-            tc_value = critical_temperature(m1.omega_i, m2.omega_i).tc_exact
-        else:
-            tc_value = critical_temperature_sqm(cfg.quench)
-        values["tc"] = np.full(len(temps), tc_value)
-    obs_columns = _observable_columns(cfg.observables)
-    cells = {col: values[name].tolist() for name, col in zip(cfg.observables, obs_columns)}
-    rows = []
-    for i, t in enumerate(temps.tolist()):
-        row = {"T": t, "beta": 1.0 / t}
-        for col in obs_columns:
-            row[col] = None if flags[i] else cells[col][i]
-        row["warnings"] = flags[i]
-        rows.append(row)
-    columns = ["T", "beta", *obs_columns, "warnings"]
+        values["tc"] = np.full(len(temps), critical_temperature_sqm(cfg.quench))
+    columns = {"T": temps, "beta": 1.0 / temps}
+    for name in cfg.observables:
+        columns[name.replace(":", "_")] = values[name]  # renyi:2 -> renyi_2
     provenance = [f"oscquench {__version__}",
                   f"a_convention: {A_CONVENTION_NOTE}",
                   f"config: {json.dumps(cfg.to_dict(), sort_keys=True)}"]
-    return SweepResult(config=cfg, columns=columns, rows=rows, provenance=provenance)
+    return SweepResult(config=cfg, values=columns, flags=flags, provenance=provenance)
 
 
 def validate_config(path) -> tuple[bool, list[str]]:
@@ -199,7 +198,7 @@ def validate_config(path) -> tuple[bool, list[str]]:
     beta_max = 1.0 / cfg.t_min
     for label, mode in (("mode1", m1), ("mode2", m2)):
         bs = beta_star(mode)
-        if beta_max >= bs * (1 - 1e-6):
+        if beta_max >= bs * (1 - BETA_STAR_MARGIN):
             report.append(f"warning: {label} is a downward quench with beta* = {bs:.6g}; "
                           f"temperatures below T = {1 / bs:.6g} are out of domain and will be flagged")
     report.append(f"ok: {cfg.t_points} temperatures in [{cfg.t_min}, {cfg.t_max}] ({cfg.scale})")
@@ -210,25 +209,13 @@ def validate_config(path) -> tuple[bool, list[str]]:
 # figure presets
 
 _T_GRID_NOTE = "T grid [0.05, 20], 400 points, log-spaced (axis ranges are not fixed by the source figures)"
+_PRESET_POINTS = 400
 
 
-def _preset_grid(points: int = 400) -> np.ndarray:
-    return np.geomspace(0.05, 20.0, points)
-
-
-def _curve_csv(path, header_cols, rows, comments) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header_cols))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _tc_rows(k0: float, js: np.ndarray) -> list[tuple]:
-    """(J, exact T_c, approximate T_c) of the constant-frequency pair (k0, J), per J of a 1-d array."""
+def _tc_columns(k0: float, js: np.ndarray) -> list[np.ndarray]:
+    """Exact and approximate T_c of the constant-frequency pair (k0, J), per J of a 1-d array."""
     tc = critical_temperature(np.full(js.shape, math.sqrt(k0)), np.sqrt(k0 + 2 * js))
-    return list(zip(js.tolist(), tc.tc_exact.tolist(), tc.tc_approx.tolist()))
+    return [tc.tc_exact, tc.tc_approx]
 
 
 def _negativity_at_zero_t(spec: QuenchSpec) -> float:
@@ -240,61 +227,56 @@ def _negativity_at_zero_t(spec: QuenchSpec) -> float:
     return math.sqrt(w_max / w_min) - 1.0
 
 
-def figure_preset(name: str, out_dir, points: int = 400) -> list[str]:
+def figure_preset(name: str, out_dir) -> list[str]:
     """Emit one CSV per curve of a source-figure parameter set."""
-    import os
-
     if name not in FIGURE_NAMES:
         raise DomainError(f"unknown figure preset {name!r}; choose from {FIGURE_NAMES}")
     os.makedirs(out_dir, exist_ok=True)
-    temps = _preset_grid(points)
+    temps = np.geomspace(0.05, 20.0, _PRESET_POINTS)
     base = [f"oscquench {__version__}", f"a_convention: {A_CONVENTION_NOTE}", _T_GRID_NOTE]
     paths = []
 
-    def emit(fname, cols, rows, extra):
+    def emit(fname, header, keys, values, extra):
         path = os.path.join(out_dir, fname)
-        _curve_csv(path, cols, rows, base + extra)
+        _write(path, _csv_text(base + extra, header, keys, values))
         paths.append(path)
 
     def curve(spec, kind):
-        return list(zip(temps.tolist(), observables(spec, temps, [kind])[0][kind].tolist()))
+        return observables(spec, temps, [kind])[0][kind]
 
     if name in ("fig1a", "fig1b"):
         kind = "purity" if name == "fig1a" else "von_neumann"
         for omega in (3.0, 5.0, 7.0):
             w = mode_widths(ModeQuench(3.0, omega), 1.0 / temps)
             vals = purity_single(w) if kind == "purity" else von_neumann_entropy(w.xi)
-            emit(f"{name}_omega{omega:g}.csv", ["T", kind], list(zip(temps.tolist(), vals.tolist())),
+            emit(f"{name}_omega{omega:g}.csv", ["T", kind], [temps], [vals],
                  [f"single mode, omega_i=3, omega_f={omega:g}"])
     elif name in ("fig2a", "fig2b", "fig2c"):
         kind = {"fig2a": "purity", "fig2b": "von_neumann", "fig2c": "mutual_info"}[name]
         for label, spec in (("quench6", QuenchSpec(3, 6, 3, 6)),
                             ("quench9", QuenchSpec(3, 9, 3, 9)),
                             ("const3", QuenchSpec(3, 3, 3, 3))):
-            emit(f"{name}_{label}.csv", ["T", kind], curve(spec, kind),
+            emit(f"{name}_{label}.csv", ["T", kind], [temps], [curve(spec, kind)],
                  [f"coupled pair, k0 {spec.k0_i:g}->{spec.k0_f:g}, J {spec.j_i:g}->{spec.j_f:g}"])
     elif name in ("fig3a", "fig3b"):
         js = (1.0, 5.0, 10.0) if name == "fig3a" else (-0.45, -0.35, -0.2)
         for j in js:
             spec = QuenchSpec(1.0, 1.0, j, j)
-            emit(f"{name}_J{j:g}.csv", ["T", "negativity"], curve(spec, "negativity"),
+            emit(f"{name}_J{j:g}.csv", ["T", "negativity"], [temps], [curve(spec, "negativity")],
                  [f"constant k0=1, J={j:g}"])
     elif name == "fig4a":
-        xs = np.linspace(0.05, 5.0, points)
-        upper = list(zip(xs.tolist(), (xs * boundary_g(xs)).tolist()))
-        emit("fig4a_upper_boundary.csv", ["x", "y"], upper, ["upper separability boundary y(x)"])
-        lower = [(y, x) for x, y in upper]
-        emit("fig4a_lower_boundary.csv", ["x", "y"], lower, ["lower boundary (mirror of upper)"])
-        dashed = list(zip(xs.tolist(), (xs / np.tanh(xs)).tolist()))
-        emit("fig4a_dashed.csv", ["x", "y"], dashed, ["approximation y = x coth x"])
+        xs = np.linspace(0.05, 5.0, _PRESET_POINTS)
+        ys = xs * boundary_g(xs)
+        emit("fig4a_upper_boundary.csv", ["x", "y"], [xs], [ys], ["upper separability boundary y(x)"])
+        emit("fig4a_lower_boundary.csv", ["x", "y"], [ys], [xs], ["lower boundary (mirror of upper)"])
+        emit("fig4a_dashed.csv", ["x", "y"], [xs], [xs / np.tanh(xs)], ["approximation y = x coth x"])
         gx, gy = np.meshgrid(np.linspace(0.05, 3.0, 61), np.linspace(0.05, 3.0, 61), indexing="ij")
-        separable = check_separable(2 * gx, 2 * gy, 1.0).astype(float)
-        mask = list(zip(gx.ravel().tolist(), gy.ravel().tolist(), separable.ravel().tolist()))
-        emit("fig4a_mask.csv", ["x", "y", "separable"], mask,
+        separable = check_separable(2 * gx, 2 * gy, 1.0)
+        emit("fig4a_mask.csv", ["x", "y", "separable"], [gx.ravel(), gy.ravel()], [separable.ravel()],
              ["separability mask on a 61x61 grid (x = omega1 beta/2, y = omega2 beta/2)"])
     elif name == "fig4b":
-        emit("fig4b_tc.csv", ["J", "tc_exact", "tc_approx"], _tc_rows(1.0, np.linspace(0.5, 10.0, 200)),
-             ["k0 = 1"])
+        js = np.linspace(0.5, 10.0, 200)
+        emit("fig4b_tc.csv", ["J", "tc_exact", "tc_approx"], [js], _tc_columns(1.0, js), ["k0 = 1"])
     else:  # fig5a, fig5b
         if name == "fig5a":
             settings = [(f"k0f{k:g}", QuenchSpec(1.0, k, 5.0, 5.0)) for k in (1.0, 20.0, 40.0)]
@@ -302,10 +284,9 @@ def figure_preset(name: str, out_dir, points: int = 400) -> list[str]:
             settings = [(f"Jf{j:g}", QuenchSpec(1.0, 1.0, 5.0, j)) for j in (5.0, 25.0, 45.0)]
         for label, spec in settings:
             n_inf = _negativity_at_zero_t(spec)
-            ratio = observables(spec, temps, ["negativity"])[0]["negativity"] / n_inf
-            emit(f"{name}_{label}.csv", ["T", "negativity_ratio"], list(zip(temps.tolist(), ratio.tolist())),
+            emit(f"{name}_{label}.csv", ["T", "negativity_ratio"], [temps], [curve(spec, "negativity") / n_inf],
                  [f"k0 {spec.k0_i:g}->{spec.k0_f:g}, J {spec.j_i:g}->{spec.j_f:g}; "
-                  f"normalised by the zero-temperature limit N = {_fmt(n_inf)}"])
+                  f"normalised by the zero-temperature limit N = {n_inf:.12g}"])
     return paths
 
 
@@ -361,11 +342,11 @@ def main(argv=None) -> int:
                 return EXIT_CONFIG
             result = run_sweep(cfg)
             result.write(args.out)
-            n_flagged = sum(1 for r in result.rows if r["warnings"])
-            if n_flagged == len(result.rows):
+            n_flagged = sum(map(bool, result.flags))
+            if n_flagged == len(result.flags):
                 print("domain error: every grid point failed", file=sys.stderr)
                 return EXIT_DOMAIN
-            print(f"wrote {args.out} ({len(result.rows)} rows, {n_flagged} flagged)")
+            print(f"wrote {args.out} ({len(result.flags)} rows, {n_flagged} flagged)")
             return EXIT_OK
 
         if args.command == "figure":
@@ -386,11 +367,9 @@ def main(argv=None) -> int:
         if not js.size:
             print("domain error: no coupling in range keeps both modes real", file=sys.stderr)
             return EXIT_DOMAIN
-        rows = _tc_rows(args.k0, js)
-        _curve_csv(args.out, ["J", "tc_exact", "tc_approx"], rows,
-                   [f"oscquench {__version__}", f"a_convention: {A_CONVENTION_NOTE}",
-                    f"k0 = {args.k0:g}"])
-        print(f"wrote {args.out} ({len(rows)} rows)")
+        comments = [f"oscquench {__version__}", f"a_convention: {A_CONVENTION_NOTE}", f"k0 = {args.k0:g}"]
+        _write(args.out, _csv_text(comments, ["J", "tc_exact", "tc_approx"], [js], _tc_columns(args.k0, js)))
+        print(f"wrote {args.out} ({len(js)} rows)")
         return EXIT_OK
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ModeQuench, beta_star
+from .core import BETA_STAR_MARGIN, ModeQuench, beta_star
 from .errors import DomainError, NumericalFailureError
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
@@ -97,9 +97,7 @@ class FrequencySchedule:
 
     @property
     def omega_initial(self) -> float:
-        if self.kind == "constant":
-            return self.params[0]
-        if self.kind in ("sudden", "sinusoidal"):
+        if self.kind != "tabulated":
             return self.params[0]
         return float(np.interp(0.0, self.table_t, self.table_w))
 
@@ -143,25 +141,18 @@ class FrequencySchedule:
 class ErmakovSolution:
     """Accepted integration steps plus the integrator's own dense output.
 
-    ``t, b, db, gamma`` are the accepted DOP853 steps and ``grid`` stacks
-    (t, b, db/dt); the phase integral gamma(t) of omega(0)/b^2 is a third
-    ODE state.  ``b_at``, ``db_at`` and ``gamma_at`` evaluate DOP853's
-    7th-order continuous extension, ``dense`` (a scipy ``OdeSolution``),
-    anywhere in [t[0], t[-1]].
+    ``t, b, db, gamma`` are the accepted DOP853 steps; the phase integral
+    gamma(t) of omega(0)/b^2 is a third ODE state.  ``b_at``, ``db_at`` and
+    ``gamma_at`` evaluate DOP853's 7th-order continuous extension, ``dense``
+    (a scipy ``OdeSolution``), anywhere in [t[0], t[-1]].
     """
 
-    domain_kind: str
     omega0: float
     t: np.ndarray
     b: np.ndarray
     db: np.ndarray
     gamma: np.ndarray
-    tol: float
     dense: object = field(repr=False, compare=False)
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.column_stack([self.t, self.b, self.db])
 
     def _eval(self, tq, row: int):
         tq = np.asarray(tq, dtype=float)
@@ -189,7 +180,7 @@ def _check_domain(t_end: float, tol: float) -> None:
         raise DomainError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
 
 
-def _integrate(rhs, t_end, tol, kind, omega0):
+def _integrate(rhs, t_end, tol, omega0):
     """DOP853 over [0, t_end] from (b, b', gamma) = (1, 0, 0).
 
     rtol = atol = tol / 100, with rtol floored at scipy's 100 eps, and no
@@ -211,8 +202,7 @@ def _integrate(rhs, t_end, tol, kind, omega0):
     if np.any(b <= 0):
         bad = t[np.argmax(b <= 0)]
         raise NumericalFailureError(f"scale factor became non-positive near t = {bad}")
-    return ErmakovSolution(domain_kind=kind, omega0=omega0, t=t, b=b, db=db,
-                           gamma=gamma, tol=tol, dense=sol.sol)
+    return ErmakovSolution(omega0=omega0, t=t, b=b, db=db, gamma=gamma, dense=sol.sol)
 
 
 def solve_real(schedule: FrequencySchedule, t_max: float, tol: float = 1e-10) -> ErmakovSolution:
@@ -227,7 +217,7 @@ def solve_real(schedule: FrequencySchedule, t_max: float, tol: float = 1e-10) ->
         b, db, _ = y
         return [db, w0sq / b**3 - w * w * b, w0 / b**2]
 
-    return _integrate(rhs, t_max, tol, "real", w0)
+    return _integrate(rhs, t_max, tol, w0)
 
 
 def solve_euclidean(mode: ModeQuench, beta_max: float, tol: float = 1e-10) -> ErmakovSolution:
@@ -238,7 +228,7 @@ def solve_euclidean(mode: ModeQuench, beta_max: float, tol: float = 1e-10) -> Er
     """
     _check_domain(beta_max, tol)
     bs = beta_star(mode)
-    if beta_max >= bs * (1 - 1e-6):
+    if beta_max >= bs * (1 - BETA_STAR_MARGIN):
         raise DomainError(
             f"b^2 vanishes at beta* = {bs} for quench ({mode.omega_i} -> {mode.omega_f}); "
             f"beta_max = {beta_max} is out of domain", beta_star=bs)
@@ -249,7 +239,7 @@ def solve_euclidean(mode: ModeQuench, beta_max: float, tol: float = 1e-10) -> Er
         b, db, _ = y
         return [db, wf * wf * b - wi2 / b**3, wi / b**2]
 
-    return _integrate(rhs, beta_max, tol, "euclidean", wi)
+    return _integrate(rhs, beta_max, tol, wi)
 
 
 def gamma_phase(sol: ErmakovSolution, omega_i: float | None = None):

@@ -192,10 +192,6 @@ def partial_transpose(rho: QuadraticKernel) -> QuadraticKernel:
     return QuadraticKernel(2, rho.norm, rho.q[np.ix_(perm, perm)])
 
 
-def eval_kernel(k: QuadraticKernel, out_coords, in_coords):
-    return k.evaluate(out_coords, in_coords)
-
-
 @dataclass(frozen=True)
 class RealTimeKernelParams:
     """Sudden-quench real-time propagator parameters at a fixed time.

@@ -6,7 +6,9 @@ ratios zeta1 = r(a+_2, a-_1) and zeta2 = r(a+_1, a-_2), where
 r(p, m) = (sqrt p - sqrt m) / (sqrt p + sqrt m); a negative ratio signals
 entanglement (the covariance-matrix PPT criterion, Simon, PRL 84, 2726
 (2000)).  :mod:`oscquench.observables` evaluates these ratios over whole
-temperature grids.  The trace-moment route kept here (``pt_moments``:
+temperature grids.  ``critical_temperature_sqm`` gives T_c of any spec,
+constant or quenched; ``critical_temperature`` takes bare frequency pairs
+and also gives the coth approximation.  The trace-moment route kept here (``pt_moments``:
 tr sigma^2 and tr sigma^3 of the transposed kernel determine zeta1, zeta2)
 shares no formula with it and serves as an independent cross-check; its
 error grows like ~1e-14 / |zeta1 zeta2| near the separability boundary.
@@ -171,15 +173,19 @@ def check_separable(omega1, omega2, beta):
 _SCAN = np.linspace(0.0, 1.0, 33)
 _MAX_PASSES = 64
 
+# The quench T_c scan spans these multiples of the spec's lowest and highest
+# mode frequency.
+_TC_WINDOW = (1e-4, 1e4)
 
-def _last_crossing(f, lo, hi, tol: float = 0.0):
+
+def _last_crossing(f, lo, hi):
     """Highest x in [lo, hi] where f falls from > 0 to <= 0, per element of lo, hi.
 
     f must be elementwise on arrays, and f(hi) <= 0.  Each pass evaluates f
     at evenly spaced points of every bracket and keeps the cell after the
-    last positive value; passes stop once every cell is narrower than
-    tol * max(1, |x|) or has stopped shrinking.  Returns the midpoint of the
-    final cell, or nan where f <= 0 at every point of the first pass.
+    last positive value; passes stop once no cell shrinks any more, i.e. at
+    the spacing of doubles.  Returns the midpoint of the final cell, or nan
+    (without further passes) where f <= 0 at every point of the first pass.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     last_cell = len(_SCAN) - 2
@@ -195,36 +201,40 @@ def _last_crossing(f, lo, hi, tol: float = 0.0):
         k = np.where(any_pos, last_cell - np.argmax(pos[..., ::-1], axis=-1), 0)
         new_lo = lo + width * _SCAN[k]
         new_hi = np.where(k == last_cell, hi, lo + width * _SCAN[k + 1])
-        settled = (new_hi - new_lo <= tol * np.maximum(1.0, np.abs(new_hi))) | ((new_lo == lo) & (new_hi == hi))
+        settled = ((new_lo == lo) & (new_hi == hi)) | ~found
         lo, hi = new_lo, new_hi
         if settled.all():
             break
     return _scalar_or_array(np.where(found, (lo + hi) / 2, np.nan))
 
 
-def boundary_g(z, tol: float = 1e-10):
+def boundary_g(z):
     """Boundary slope function g with y_c = x_c g(x_c) on the upper branch.
 
-    g(z) = Y / z where Y tanh Y = z coth z; elementwise on arrays.
+    g(z) = Y / z where Y tanh Y = z coth z; elementwise on arrays.  Y is
+    refined to the spacing of doubles.
     """
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z) & (z > 0)):
         raise DomainError(f"boundary argument must be positive and finite, got {z}")
     target = (z / np.tanh(z))[..., None]
     # Y = max(2z, 2) already has Y tanh Y >= z coth z, so it bounds the root
-    y = _last_crossing(lambda y: target - y * np.tanh(y), 0.0, np.maximum(2.0 * z, 2.0), tol)
+    y = _last_crossing(lambda y: target - y * np.tanh(y), 0.0, np.maximum(2.0 * z, 2.0))
     return _scalar_or_array(np.asarray(y / z))
 
 
-def g_inverse(ratio, tol: float = 1e-10):
-    """Solve g(x) = ratio for x > 0 (ratio > 1), elementwise; g decreases from inf to 1."""
+def g_inverse(ratio):
+    """Solve g(x) = ratio for x > 0 (ratio > 1), elementwise; g decreases from inf to 1.
+
+    x is refined to the spacing of doubles.
+    """
     r = np.asarray(ratio, dtype=float)
     if not np.all(np.isfinite(r) & (r > 1)):
         raise DomainError(f"g takes finite values > 1 only, got ratio = {ratio}")
     # x = atanh(r^-1/2) has coth x = sqrt r < r tanh(r x), so g(x) < r there
     hi = np.log((np.sqrt(r) + 1) ** 2 / (r - 1)) / 2
     rc = r[..., None]
-    return _last_crossing(lambda x: x / np.tanh(x) - rc * x * np.tanh(rc * x), 1e-12, hi, tol)
+    return _last_crossing(lambda x: x / np.tanh(x) - rc * x * np.tanh(rc * x), 1e-12, hi)
 
 
 @dataclass(frozen=True)
@@ -233,25 +243,23 @@ class CriticalTemp:
 
     tc_exact: float | np.ndarray
     tc_approx: float | np.ndarray
-    boundary_samples: np.ndarray | None = None
 
 
-def critical_temperature(omega1, omega2, method: str = "both",
-                         tol: float = 1e-10, n_samples: int = 0) -> CriticalTemp:
-    """Critical temperature of the constant-frequency thermal state.
+def critical_temperature(omega1, omega2) -> CriticalTemp:
+    """Critical temperature of the constant-frequency thermal state, from its two frequencies.
 
-    Exact: T_c = omega_min / (2 g^{-1}(omega_max / omega_min)).  Approximate
-    (g ~ coth): T_c = omega_min / ln((omega_max + omega_min) / (omega_max -
-    omega_min)).  Equal frequencies are never entangled, so T_c = 0.
-    Frequency arrays give arrays of T_c, elementwise.
+    Exact: T_c = omega_min / (2 g^{-1}(omega_max / omega_min)), with
+    g^{-1} refined to the spacing of doubles.  Approximate (g ~ coth):
+    T_c = omega_min / ln((omega_max + omega_min) / (omega_max - omega_min)).
+    Equal frequencies are never entangled, so T_c = 0.  Frequency arrays
+    give arrays of T_c, elementwise.  For a ``QuenchSpec``, constant or
+    not, use :func:`critical_temperature_sqm`.
 
     tc_approx is an upper bound on tc_exact: with r = omega_max / omega_min,
     x_e = omega_min / (2 tc_exact) solves coth x_e = r tanh(r x_e) < r =
     coth x_a, so x_e > x_a.  The relative gap x_e / x_a - 1 rises with r
     towards y0 - 1 = 0.19968, where y0 tanh y0 = 1.
     """
-    if method not in ("both", "exact", "approx"):
-        raise DomainError(f"unknown method {method!r}")
     w1, w2 = np.asarray(omega1, dtype=float), np.asarray(omega2, dtype=float)
     if not (np.all(w1 > 0) and np.all(w2 > 0)):
         raise DomainError("frequencies must be positive")
@@ -259,40 +267,42 @@ def critical_temperature(omega1, omega2, method: str = "both",
     equal = w_min == w_max
     with np.errstate(divide="ignore"):
         tc_approx = np.where(equal, 0.0, w_min / np.log((w_max + w_min) / (w_max - w_min)))
-    tc_exact = np.where(equal, 0.0, math.nan)
-    if method != "approx" and not equal.all():
-        x = g_inverse(np.where(equal, 2.0, w_max / w_min), tol)
-        tc_exact = np.where(equal, 0.0, w_min / (2 * x))
-    samples = None
-    if n_samples > 0:
-        xs = np.geomspace(0.05, 10.0, n_samples)
-        samples = np.column_stack([xs, boundary_g(xs, tol)])
-    return CriticalTemp(tc_exact=_scalar_or_array(tc_exact), tc_approx=_scalar_or_array(tc_approx),
-                        boundary_samples=samples)
+    x = g_inverse(np.where(equal, 2.0, w_max / w_min))
+    tc_exact = np.where(equal, 0.0, w_min / (2 * x))
+    return CriticalTemp(tc_exact=_scalar_or_array(tc_exact), tc_approx=_scalar_or_array(tc_approx))
 
 
-def critical_temperature_sqm(spec: QuenchSpec, t_floor: float = 1e-4, t_ceil: float = 1e4) -> float:
+def critical_temperature_sqm(spec: QuenchSpec) -> float:
     """Highest temperature at which the quench's negativity vanishes.
 
     The state is entangled exactly where max(a-_1 / a+_2, a-_2 / a+_1) > 1,
-    i.e. where zeta1 or zeta2 is negative.  The log of that ratio is scanned
-    on a log-T grid from ``t_ceil`` down to ``t_floor``, or down to the
-    lowest temperature a downward quench admits (beta < beta* (1 - 1e-6)),
-    and its highest root is refined to 1e-12 in log T.  Returns 0.0 if the
-    state is separable at every scanned temperature; raises
-    ``NumericalFailureError`` if it is still entangled at ``t_ceil``.
+    i.e. where zeta1 or zeta2 is negative; ``mode_widths`` takes constant
+    frequencies exactly, so this serves constant specs too.  That ratio
+    depends on T only through omega / T, so the scan runs over log T in the
+    spec's own frequency units: from T = 1e4 omega_max down to
+    1e-4 omega_min, over the initial and final frequencies of both modes,
+    or down to the lowest temperature a downward quench admits
+    (beta < beta* (1 - BETA_STAR_MARGIN)).  Scaling every spring constant
+    and coupling by s^2 thus scales T_c by s, to rounding.
+    The highest root is refined to the spacing of doubles in log T; a lower
+    crossing, if the state were entangled again further down, is not
+    reported.  Returns 0.0 if the state is separable at every scanned
+    temperature; raises ``NumericalFailureError`` if it is still entangled
+    at the top of the window.
     """
     m1, m2 = normal_modes(spec)
+    omegas = (m1.omega_i, m1.omega_f, m2.omega_i, m2.omega_f)
 
-    def log_margin(log_t):
+    def margin(log_t):
         beta = np.exp(-log_t)
         w1, w2 = mode_widths(m1, beta), mode_widths(m2, beta)
-        return np.log(np.maximum(w1.a_minus / w2.a_plus, w2.a_minus / w1.a_plus))
+        return np.maximum(w1.a_minus / w2.a_plus, w2.a_minus / w1.a_plus) - 1.0
 
+    t_ceil = _TC_WINDOW[1] * max(omegas)
     hi = math.log(t_ceil)
-    if log_margin(hi) > 0:
-        raise NumericalFailureError(f"state still entangled at T = {t_ceil}")
+    if margin(hi) > 0:
+        raise NumericalFailureError(f"state still entangled at T = {t_ceil:.6g}")
     beta_cut = min(beta_star(m1), beta_star(m2)) * (1 - BETA_STAR_MARGIN)
-    lo = max(math.log(t_floor), -math.log(beta_cut))
-    root = _last_crossing(log_margin, lo, hi, tol=1e-12)
+    lo = max(math.log(_TC_WINDOW[0] * min(omegas)), -math.log(beta_cut))
+    root = _last_crossing(margin, lo, hi)
     return 0.0 if math.isnan(root) else math.exp(root)

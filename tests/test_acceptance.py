@@ -276,7 +276,7 @@ def _lower_y(x):
 def test_criterion_7a_boundary_mirror_symmetry():
     worst = 0.0
     for x in np.linspace(0.1, 5.0, 50):
-        y_up = x * oq.boundary_g(x, tol=1e-12)
+        y_up = x * oq.boundary_g(x)
         worst = max(worst, abs(_lower_y(y_up) - x))
     ok = worst < 1e-8
     assert report("7a", "separability boundary mirror symmetry", ok,
@@ -294,7 +294,7 @@ def test_criterion_7b_dashed_line_within_2_percent():
     worst_ref = worst_dev = 0.0
     devs, below, within = [], True, True
     for x in np.linspace(0.1, 5.0, 50):
-        exact = x * oq.boundary_g(x, tol=1e-12)
+        exact = x * oq.boundary_g(x)
         y_ref = _upper_y(x)
         approx = x / math.tanh(x)
         dev = (exact - approx) / exact
@@ -354,6 +354,8 @@ def test_criterion_8_ermakov_and_special_functions():
 
 
 def test_criterion_9_determinism_and_performance():
+    from dataclasses import replace
+
     from oscquench.cli import SweepConfig, run_sweep
 
     cfg = SweepConfig.from_dict({
@@ -362,11 +364,11 @@ def test_criterion_9_determinism_and_performance():
         "observables": ["purity", "renyi:2", "von_neumann", "mutual_info", "negativity", "tc"],
     })
     start = time.perf_counter()
-    r1 = run_sweep(cfg, threads=1)
+    r1 = run_sweep(replace(cfg, threads=1))
     elapsed = time.perf_counter() - start
     texts = {r1.to_csv_text()}
     for n in (2, 8):
-        texts.add(run_sweep(cfg, threads=n).to_csv_text())
+        texts.add(run_sweep(replace(cfg, threads=n)).to_csv_text())
     ok = len(texts) == 1 and elapsed < 10.0
     assert report(9, "determinism and throughput", ok,
                   f"1000-point sweep {elapsed:.2f}s, byte-identical across 1/2/8 threads: "

@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oscquench import DomainError
+from oscquench import cli
 from oscquench.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, FIGURE_NAMES, SweepConfig,
                            figure_preset, main, run_sweep, validate_config)
 
@@ -55,23 +57,23 @@ class TestSweepConfig:
 class TestRunSweep:
     def test_thread_count_invariance(self):
         cfg = SweepConfig.from_dict(GOOD_CONFIG)
-        texts = {run_sweep(cfg, threads=n).to_csv_text() for n in (1, 2, 8)}
+        texts = {run_sweep(replace(cfg, threads=n)).to_csv_text() for n in (1, 2, 8)}
         assert len(texts) == 1
 
     def test_negativity_vanishes_above_tc(self):
         cfg = SweepConfig.from_dict(GOOD_CONFIG)
-        result = run_sweep(cfg, threads=1)
+        values = run_sweep(cfg).values
         tc = 0.6339013112
-        for row in result.rows:
-            if row["T"] >= tc + 1e-6:
-                assert row["negativity"] == 0.0
-            elif row["T"] < tc - 1e-6:
-                assert row["negativity"] > 0.0
-            assert row["tc"] == pytest.approx(tc, abs=1e-8)
+        for t, neg, row_tc in zip(values["T"], values["negativity"], values["tc"]):
+            if t >= tc + 1e-6:
+                assert neg == 0.0
+            elif t < tc - 1e-6:
+                assert neg > 0.0
+            assert row_tc == pytest.approx(tc, abs=1e-8)
 
     def test_header_and_provenance(self):
         cfg = SweepConfig.from_dict(GOOD_CONFIG)
-        text = run_sweep(cfg, threads=1).to_csv_text()
+        text = run_sweep(cfg).to_csv_text()
         lines = text.splitlines()
         comments = [ln for ln in lines if ln.startswith("# ")]
         assert any("a_convention" in c for c in comments)
@@ -85,7 +87,7 @@ class TestRunSweep:
             "T_min": 0.1, "T_max": 10.0, "T_points": 60, "scale": "log",
             "observables": ["purity"],
         })
-        vals = [row["purity"] for row in run_sweep(cfg, threads=2).rows]
+        vals = run_sweep(cfg).values["purity"]
         assert all(vals[i] >= vals[i + 1] - 1e-13 for i in range(len(vals) - 1))
 
     def test_downward_quench_rows_flagged_not_fatal(self):
@@ -94,18 +96,21 @@ class TestRunSweep:
             "T_min": 0.5, "T_max": 5.0, "T_points": 12, "scale": "linear",
             "observables": ["purity"],
         })
-        rows = run_sweep(cfg, threads=1).rows
-        flagged = [r for r in rows if r["warnings"]]
-        clean = [r for r in rows if not r["warnings"]]
+        result = run_sweep(cfg)
+        lines = result.to_csv_text().splitlines()
+        rows = [line.split(",", 3) for line in lines[lines.index("T,beta,purity,warnings") + 1:]]
+        flagged = [r for r in rows if r[3]]
+        clean = [r for r in rows if not r[3]]
         assert flagged and clean
-        assert all(r["purity"] is None for r in flagged)
+        assert all(r[2] == "" for r in flagged)
         # beta* = acosh(5/3)/2: valid only above T = 1/beta*
         t_ok = 2 / math.acosh(5 / 3)
-        assert all(r["T"] > t_ok for r in clean)
+        assert all(float(r[0]) > t_ok for r in clean)
+        assert [r[3] for r in rows] == result.flags
 
     def test_number_format(self):
         cfg = SweepConfig.from_dict(dict(GOOD_CONFIG, T_points=2, observables=["purity"]))
-        lines = run_sweep(cfg, threads=1).to_csv_text().splitlines()
+        lines = run_sweep(cfg).to_csv_text().splitlines()
         cell = lines[-1].split(",")[2]
         assert len(cell.replace(".", "").replace("-", "").lstrip("0")) <= 12
 
@@ -137,7 +142,7 @@ class TestValidateConfig:
 
 class TestFigurePresets:
     def test_fig1a_files(self, tmp_path):
-        paths = figure_preset("fig1a", tmp_path, points=40)
+        paths = figure_preset("fig1a", tmp_path)
         names = sorted(p.split("/")[-1] for p in paths)
         assert names == ["fig1a_omega3.csv", "fig1a_omega5.csv", "fig1a_omega7.csv"]
         body = open(paths[1]).read()
@@ -145,12 +150,12 @@ class TestFigurePresets:
         assert body.splitlines()[-1].count(",") == 1
 
     def test_fig3b_negative_couplings(self, tmp_path):
-        paths = figure_preset("fig3b", tmp_path, points=40)
+        paths = figure_preset("fig3b", tmp_path)
         assert sorted(p.split("/")[-1] for p in paths) == [
             "fig3b_J-0.2.csv", "fig3b_J-0.35.csv", "fig3b_J-0.45.csv"]
 
     def test_fig4b_columns(self, tmp_path):
-        (path,) = figure_preset("fig4b", tmp_path, points=40)
+        (path,) = figure_preset("fig4b", tmp_path)
         lines = open(path).read().splitlines()
         header = next(ln for ln in lines if not ln.startswith("#"))
         assert header == "J,tc_exact,tc_approx"
@@ -158,7 +163,7 @@ class TestFigurePresets:
         assert first[0] == 0.5
 
     def test_fig5_normalisation_comment(self, tmp_path):
-        paths = figure_preset("fig5b", tmp_path, points=30)
+        paths = figure_preset("fig5b", tmp_path)
         body = open(paths[0]).read()
         assert "zero-temperature limit" in body
         header = next(ln for ln in body.splitlines() if not ln.startswith("#"))
@@ -170,7 +175,7 @@ class TestFigurePresets:
 
     def test_all_presets_have_curves(self, tmp_path):
         for name in FIGURE_NAMES:
-            assert figure_preset(name, tmp_path / name, points=32)
+            assert figure_preset(name, tmp_path / name)
 
 
 class TestMain:
@@ -228,3 +233,50 @@ class TestMain:
     def test_figure_command(self, tmp_path):
         assert main(["figure", "fig1a", "--out-dir", str(tmp_path)]) == EXIT_OK
         assert (tmp_path / "fig1a_omega5.csv").exists()
+
+    @pytest.mark.parametrize("s,tc", [(1e-8, "1.55273475982e-08"), (1e8, "155273475.982")])
+    def test_tc_of_a_scaled_spec(self, tmp_path, s, tc):
+        # k0 and J times s^2 scale every frequency, and T_c, by s
+        k = s * s
+        cfg = dict(GOOD_CONFIG, quench={"k0_i": 3 * k, "k0_f": 6 * k, "j_i": 3 * k, "j_f": 6 * k},
+                   T_min=0.1 * s, T_max=10 * s, T_points=5, scale="log", observables=["negativity", "tc"])
+        out = tmp_path / "scaled.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        rows = [line.split(",") for line in lines[lines.index("T,beta,negativity,tc,warnings") + 1:]]
+        assert float(rows[0][2]) > 0
+        assert {row[3] for row in rows if not row[4]} == {tc}
+
+
+def _per_cell_csv(comments, header, keys, values, flags=None):
+    """The CSV that cli._csv_text must produce, formatted one cell at a time."""
+    lines = [f"# {c}" for c in comments] + [",".join(header)]
+    for i in range(len(keys[0])):
+        flag = "" if flags is None else flags[i]
+        cells = [f"{float(k[i]):.12g}" for k in keys]
+        cells += ["" if flag else f"{float(v[i]):.12g}" for v in values]
+        lines.append(",".join(cells + ([] if flags is None else [flag])))
+    return "\n".join(lines) + "\n"
+
+
+def test_writer_matches_per_cell_formatting(tmp_path, monkeypatch):
+    writer, calls = cli._csv_text, []
+
+    def checked(*args, **kwargs):
+        text = writer(*args, **kwargs)
+        assert text == _per_cell_csv(*args, **kwargs)
+        calls.append(args[1])
+        return text
+
+    monkeypatch.setattr(cli, "_csv_text", checked)
+    down = dict(GOOD_CONFIG, quench={"k0_i": 5.0, "k0_f": 2.0, "j_i": 3.0, "j_f": 1.5},
+                T_min=0.5, T_max=10.0, T_points=60, scale="log",
+                observables=["purity", "renyi:0.5", "renyi:2", "von_neumann", "mutual_info",
+                             "negativity", "tc"])
+    result = run_sweep(SweepConfig.from_dict(down))
+    assert any(result.flags) and not all(result.flags)
+    assert result.to_csv_text().count(",,,,,,,,domain:") == sum(map(bool, result.flags))
+    assert main(["tc", "--k0", "1", "--j-min", "-0.45", "--j-max", "10", "--points", "30",
+                 "--out", str(tmp_path / "tc.csv")]) == EXIT_OK
+    n_files = sum(len(figure_preset(name, tmp_path / name)) for name in FIGURE_NAMES)
+    assert len(calls) == 2 + n_files

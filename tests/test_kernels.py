@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oscquench import (CausticError, DomainError, ModeQuench, QuadraticKernel,
-                       QuenchSpec, RealTimeKernelParams, eval_kernel, mode_thermo,
+                       QuenchSpec, RealTimeKernelParams, mode_thermo,
                        normal_modes, partial_transpose, partition_single,
                        realtime_kernel_single, reduce_substate, thermal_rho_coupled,
                        thermal_rho_single)
@@ -40,7 +40,7 @@ class TestQuadraticKernel:
 
     def test_eval_kernel(self):
         k = QuadraticKernel(1, 2.0, np.array([[1.0, -0.25], [-0.25, 0.5]]))
-        v = eval_kernel(k, 0.3, -0.7)
+        v = k.evaluate(0.3, -0.7)
         expected = 2.0 * math.exp(-(1.0 * 0.09 + 2 * (-0.25) * 0.3 * (-0.7) + 0.5 * 0.49))
         assert v == pytest.approx(expected, rel=1e-14)
 
