@@ -9,6 +9,13 @@ Four layers are timed on their own: assembly of the symmetry blocks (one
 per character of the kernel's grid symmetry group, four for sigma), the
 ARPACK top-12 eigensolve of every block, and the p = 2 and p = 3 trace
 contractions of the blocks; so are the public calls that chain them.
+The problem record counts the eigensolve's matvecs per block (``dsymv``
+calls on one triangle of the block).
+The ``grid`` entries time ``QuadratureGrid.make`` at 56, 200 and 400 nodes,
+both with the Gauss-Legendre rule cache emptied first (the first call for
+that n) and served from it.  ``nystrom1d`` times the 1-D call in the shape
+of the benchmark's ``verify`` op: mode 0 of the same quench and beta, 200
+nodes, with the error estimate (a second solve on 400 nodes).
 The ``ermakov`` entries time the two solver calls in the shape of the
 benchmark's ``verify`` ops: ``solve_real`` of the sudden quench 1.3 -> 2.7
 over t_max = 20 / 2.7 (about three periods) and ``solve_euclidean`` of the
@@ -21,6 +28,7 @@ maximum over the runs in ms.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
@@ -47,16 +55,42 @@ RUNS = 7
 ERMAKOV_QUENCH = (1.3, 2.7)
 T_MAX = 20.0 / 2.7
 BETA_MAX = 2.0
+GRID_POINTS = (56, 200, 400)
+NYSTROM1D_POINTS = 200
 
 
-def _timed(fn) -> dict:
+def _timed(fn, before=None) -> dict:
+    """Median, min and max of ``fn`` in ms over RUNS calls, each after an untimed ``before``."""
     fn()  # warm-up: lazy imports and first-touch page faults
     times = []
     for _ in range(RUNS):
+        if before is not None:
+            before()
         t0 = time.perf_counter()
         fn()
         times.append((time.perf_counter() - t0) * 1e3)
     return {"median_ms": statistics.median(times), "min_ms": min(times), "max_ms": max(times)}
+
+
+def _matvec_counts(blocks) -> list[int]:
+    """``dsymv`` calls of the top-12 eigensolve of each block."""
+    import scipy.linalg.blas
+
+    dsymv = scipy.linalg.blas.dsymv
+    counts = []
+
+    def counted(*args, **kwargs):
+        counts[-1] += 1
+        return dsymv(*args, **kwargs)
+
+    scipy.linalg.blas.dsymv = counted
+    try:
+        for block in blocks:
+            counts.append(0)
+            oracle._parity_eigvals([block], TOP_K)
+    finally:
+        scipy.linalg.blas.dsymv = dsymv
+    return counts
 
 
 def main() -> None:
@@ -98,15 +132,26 @@ def main() -> None:
                 len(sol.t))
 
     ermakov = {"solve_real": real_op, "solve_euclidean": euclidean_op}
+
+    mode = oq.normal_modes(oq.QuenchSpec(*SPEC))[0]
+    single = oq.thermal_rho_single(oq.mode_thermo(mode, BETA))
+    grids = {}
+    for n in GRID_POINTS:
+        make = functools.partial(oq.QuadratureGrid.make, n, grid.half_width)
+        grids[f"make_{n}_first"] = _timed(make, before=oracle._legendre_rule.cache_clear)
+        grids[f"make_{n}_cached"] = _timed(make)
+    calls["nystrom1d"] = lambda: oq.nystrom_spectrum(
+        single, oq.QuadratureGrid.for_kernel(single, NYSTROM1D_POINTS))
     report = {
         "machine": {"nproc": os.cpu_count(), "pinned_cpu": cpu, "blas_threads": 1,
                     "python": platform.python_version(), "numpy": np.__version__,
                     "scipy": scipy.__version__, "processor": platform.processor()},
         "problem": {"kernel": "sigma", "spec": SPEC, "beta": BETA, "points_per_axis": POINTS,
                     "nodes": POINTS ** 2, "block_sizes": [len(b) for b in blocks],
-                    "runs": RUNS},
+                    "top12_matvecs_per_block": _matvec_counts(blocks), "runs": RUNS},
         "ermakov_problem": {"quench": ERMAKOV_QUENCH, "t_max": T_MAX, "beta_max": BETA_MAX,
                             "steps": {name: fn()[1] for name, fn in ermakov.items()}},
+        "grid": grids,
         "layers": {name: _timed(fn) for name, fn in layers.items()},
         "calls": {name: _timed(fn) for name, fn in calls.items()},
         "ermakov": {name: _timed(fn) for name, fn in ermakov.items()},

@@ -5,7 +5,9 @@ the closed-form spectral formulas it is used to check.  Integral operators
 are discretised on Gauss-Legendre nodes (Nystrom method); traces and trace
 powers are quadrature contractions.  Their error estimates add two parts:
 the change under grid refinement, and a bound on the kernel's mass beyond
-the grid's half-width L, which refinement keeps and so cannot see.
+the grid's half-width L, which refinement keeps and so cannot see.  The
+rule on [-1, 1] is computed once per node count and kept read-only; every
+grid scales its own copy by L.
 
 A kernel norm * exp(-v^T Q v), v = (out, in), has the blocks Q_oo, Q_oi and
 Q_ii.  When Q_oi is symmetric, the weighted matrix W^1/2 K W^1/2 is
@@ -28,10 +30,11 @@ assembly with the cross block Q_oi G_h, and one Walsh-Hadamard butterfly,
 (a, b) -> (a + b, a - b) per generator, combines them in place.  On a 2-d
 grid of m nodes that is four blocks of about m/4 rows: a quarter of the
 ``exp`` work of S_w and no m x m buffer.  Spectra are those of the blocks
-from symmetric eigensolvers (``eigvalsh``, ARPACK ``eigsh``), tr S_w^2 is
-the sum of their squared norms, and tr S_w^3 takes one symmetric rank-k
-product per block, m^3/16 flops in all against m^3 for S_w (m^3/4 on the
-{I, P} route).
+from symmetric eigensolvers: ``eigvalsh``, or for the top k ARPACK ``eigsh``
+with a matvec that reads one triangle of the block in place (BLAS
+``dsymv``).  tr S_w^2 is the sum of their squared norms, and tr S_w^3
+takes one symmetric rank-k product per block, m^3/16 flops in all against
+m^3 for S_w (m^3/4 on the {I, P} route).
 
 A kernel with an asymmetric Q_oi, or a grid built by hand without the node
 parity, takes the general route: the kernel matrix, a general eigensolve
@@ -41,6 +44,7 @@ kernel's diagonal and costs O(m) on either route.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -49,7 +53,6 @@ import numpy as np
 
 from .errors import DomainError, NumericalFailureError
 from .kernels import QuadraticKernel
-from .special import hermite_all
 
 MIN_POINTS = 32
 # full dense eigensolve up to this many nodes; iterative top-k beyond
@@ -58,6 +61,15 @@ ECONOMY_MAX_AXIS = 128
 IMAG_RESIDUE_TOL = 1e-8
 # relative asymmetry of Q_oi up to which the symmetric route is taken
 _SYM_TOL = 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(n_points: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], one ``leggauss`` per n."""
+    x, w = np.polynomial.legendre.leggauss(n_points)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -82,7 +94,9 @@ class QuadratureGrid:
             raise DomainError(f"n_points must be >= {MIN_POINTS}, got {n_points}")
         if half_width <= 0:
             raise DomainError(f"half_width must be positive, got {half_width}")
-        x, w = np.polynomial.legendre.leggauss(n_points)
+        # the rule on [-1, 1] is computed once per n; scaling by L makes fresh
+        # arrays, so a grid never shares memory with the cache
+        x, w = _legendre_rule(n_points)
         return cls(n_points, float(half_width), x * half_width, w * half_width)
 
     @classmethod
@@ -238,14 +252,23 @@ def _compact(block: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def _parity_eigvals(blocks, top_k) -> np.ndarray:
-    """Eigenvalues of each block, its top ``top_k`` by |lambda| if set, unsorted."""
+    """Eigenvalues of each block, its top ``top_k`` by |lambda| if set, unsorted.
+
+    Lanczos sees a block only through its matvec, ``dsymv`` on one triangle:
+    half the memory traffic of a general product.  The transpose of a
+    C-contiguous block is an F-contiguous view, which BLAS takes without a
+    copy; handing over the block itself would copy it on every matvec.
+    """
     parts = []
     for block in blocks:
         # ARPACK needs top_k below the block size; a smaller block is solved densely
         if top_k is not None and top_k < len(block):
-            from scipy.sparse.linalg import eigsh
+            from scipy.linalg.blas import dsymv
+            from scipy.sparse.linalg import LinearOperator, eigsh
 
-            parts.append(eigsh(block, k=top_k, which="LM", return_eigenvectors=False))
+            op = LinearOperator(block.shape, matvec=lambda v, a=block.T: dsymv(1.0, a, v),
+                                dtype=block.dtype)
+            parts.append(eigsh(op, k=top_k, which="LM", return_eigenvectors=False))
         else:
             parts.append(np.linalg.eigvalsh(block))
     return np.concatenate(parts)
@@ -422,6 +445,11 @@ def trace_power(k: QuadraticKernel, p: int, grid: QuadratureGrid,
     return value, err
 
 
+_MEHLER_MAX_TERMS = 120
+# n! for n <= _MEHLER_MAX_TERMS, as exp(lgamma(n + 1))
+_FACTORIALS = np.exp([math.lgamma(i + 1) for i in range(_MEHLER_MAX_TERMS + 1)])
+
+
 class MehlerCheck(NamedTuple):
     lhs: float
     rhs: float
@@ -436,16 +464,20 @@ def mehler_check(t: float, x: float, y: float, terms: int = 80) -> MehlerCheck:
     / (1 - 4 t^2)]; the series converges for |t| < 1/2 and the
     prefactor blows up at |t| = 1/2, which is flagged rather than summed.
     """
-    if terms < 1 or terms > 120:
-        raise DomainError(f"terms must lie in [1, 120], got {terms}")
+    if terms < 1 or terms > _MEHLER_MAX_TERMS:
+        raise DomainError(f"terms must lie in [1, {_MEHLER_MAX_TERMS}], got {terms}")
     if abs(t) >= 0.5:
         return MehlerCheck(lhs=math.nan, rhs=math.inf, tail_bound=math.inf, diverges=True)
-    hx = hermite_all(terms - 1, np.asarray(x, dtype=float))
-    hy = hermite_all(terms - 1, np.asarray(y, dtype=float))
+    # H_n(x) and H_n(y) in one recurrence on Python floats: the IEEE operations of
+    # ``hermite_all``'s array steps, without numpy's per-step overhead on two values
+    x, y = float(x), float(y)
+    hx, hy = [1.0, 2.0 * x], [1.0, 2.0 * y]
+    for n in range(1, terms - 1):
+        hx.append(2.0 * x * hx[n] - 2.0 * n * hx[n - 1])
+        hy.append(2.0 * y * hy[n] - 2.0 * n * hy[n - 1])
     n = np.arange(terms)
-    log_fact = np.array([math.lgamma(i + 1) for i in n])
-    # straightforward accumulation; magnitudes stay finite for n <= 120
-    term = (t ** n) / np.exp(log_fact) * hx * hy
+    # straightforward accumulation; magnitudes stay finite for n <= _MEHLER_MAX_TERMS
+    term = (t ** n) / _FACTORIALS[:terms] * np.array(hx[:terms]) * np.array(hy[:terms])
     lhs = float(np.sum(term))
     rhs = float((1 - 4 * t * t) ** -0.5
                 * math.exp((4 * t * x * y - 4 * t * t * (x * x + y * y)) / (1 - 4 * t * t)))

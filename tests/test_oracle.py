@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscquench import oracle
+from oscquench.special import hermite_all
 from oscquench import (DomainError, ModeQuench, NumericalFailureError, QuadraticKernel,
                        QuadratureGrid, QuenchSpec, kernel_matrix, mehler_check,
                        beta_star, mode_thermo, normal_modes, nystrom_spectrum,
@@ -38,6 +39,29 @@ class TestQuadratureGrid:
     def test_weights_integrate_constant(self):
         grid = QuadratureGrid.make(64, 3.0)
         assert grid.weights.sum() == pytest.approx(6.0, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [32, 33, 56, 200, 400])
+    def test_rule_bit_equal_to_leggauss(self, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        for half_width in (3.7, 3.7, 0.25):   # the second call is served by the cache
+            grid = QuadratureGrid.make(n, half_width)
+            assert np.array_equal(grid.nodes, x * half_width)
+            assert np.array_equal(grid.weights, w * half_width)
+
+    def test_cached_rule_is_read_only_and_never_shared(self):
+        x, w = oracle._legendre_rule(56)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        a, b = QuadratureGrid.make(56, 1.0), QuadratureGrid.make(56, 1.0)
+        for grid in (a, b):
+            assert grid.nodes.flags.writeable and grid.weights.flags.writeable
+            for arr in (grid.nodes, grid.weights):
+                assert not np.shares_memory(arr, x) and not np.shares_memory(arr, w)
+        assert not np.shares_memory(a.nodes, b.nodes)
+        assert not np.shares_memory(a.weights, b.weights)
+        a.nodes[0] = 99.0
+        assert b.nodes[0] == x[0] and QuadratureGrid.make(56, 1.0).nodes[0] == x[0]
 
 
 class TestNystromSpectrum:
@@ -106,6 +130,53 @@ class TestNystromSpectrum:
         assert math.isfinite(sp.error_estimate)
         with pytest.raises(NumericalFailureError):
             nystrom_spectrum(k, QuadratureGrid.for_kernel(k, 64), tol=1e-18)
+
+
+class TestTopKEigensolve:
+    @staticmethod
+    def _kernel(kernel):
+        rho = coupled_state(QuenchSpec(3, 6, 3, 6), 0.6)
+        k = rho if kernel == "rho" else partial_transpose(rho)
+        return k, QuadratureGrid.for_kernel(k, 56)
+
+    def test_matvec_reads_each_block_in_place(self, monkeypatch):
+        import scipy.linalg.blas
+
+        k, grid = self._kernel("sigma")
+        made = []
+        symmetry_blocks = oracle._symmetry_blocks
+
+        def blocks(*args):
+            made.extend(symmetry_blocks(*args))
+            return made
+
+        monkeypatch.setattr(oracle, "_symmetry_blocks", blocks)
+        seen = []
+        dsymv = scipy.linalg.blas.dsymv
+
+        def wrapped(alpha, a, x, *args, **kwargs):
+            owner = [i for i, b in enumerate(made) if np.shares_memory(a, b)]
+            seen.append((a.flags.f_contiguous, owner))
+            y = dsymv(alpha, a, x, *args, **kwargs)
+            if len(seen) == 1:
+                ref = made[owner[0]] @ x
+                assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
+            return y
+
+        monkeypatch.setattr(scipy.linalg.blas, "dsymv", wrapped)
+        nystrom_spectrum(k, grid, top_k=12, with_error=False)
+        assert len(made) == 4 and seen
+        assert all(f_contiguous for f_contiguous, _ in seen)
+        assert all(len(owner) == 1 for _, owner in seen)
+        assert {owner[0] for _, owner in seen} == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("kernel", ["rho", "sigma"])
+    def test_top12_matches_dense_block_spectra(self, kernel):
+        k, grid = self._kernel(kernel)
+        dense = np.concatenate([np.linalg.eigvalsh(b) for b in oracle._symmetry_blocks(k, grid)])
+        dense = dense[np.argsort(-np.abs(dense))][:12]
+        top = nystrom_spectrum(k, grid, top_k=12, with_error=False).eigenvalues
+        assert np.abs(top - dense).max() <= 1e-13 * abs(dense[0])
 
 
 class TestTracePower:
@@ -456,3 +527,18 @@ class TestMehler:
     def test_terms_cap(self):
         with pytest.raises(DomainError):
             mehler_check(0.2, 0.0, 0.0, 121)
+
+    @staticmethod
+    def _two_call_lhs(t, x, y, terms):
+        hx = hermite_all(terms - 1, np.asarray(x, dtype=float))
+        hy = hermite_all(terms - 1, np.asarray(y, dtype=float))
+        n = np.arange(terms)
+        log_fact = np.array([math.lgamma(i + 1) for i in n])
+        return float(np.sum((t ** n) / np.exp(log_fact) * hx * hy))
+
+    def test_lhs_bit_equal_to_two_recurrences(self):
+        rng = np.random.default_rng(20261018)
+        for t, x, y in zip(rng.uniform(-0.45, 0.45, 32), rng.uniform(-3, 3, 32),
+                           rng.uniform(-3, 3, 32)):
+            for terms in (1, 2, 17, 80, 120):
+                assert mehler_check(t, x, y, terms).lhs == self._two_call_lhs(t, x, y, terms)
