@@ -9,8 +9,11 @@ Four layers are timed on their own: assembly of the symmetry blocks (one
 per character of the kernel's grid symmetry group, four for sigma), the
 ARPACK top-12 eigensolve of every block, and the p = 2 and p = 3 trace
 contractions of the blocks; so are the public calls that chain them.
-The problem record counts the eigensolve's matvecs per block (``dsymv``
-calls on one triangle of the block).
+The blocks hold only the node orbits whose rows of S_w are not provably
+below 1e-24 of its largest diagonal entry.  The problem record gives the
+kept block sizes and the kept share of the nodes for rho and for sigma,
+and counts the eigensolve's matvecs per block of sigma (``dsymv`` calls
+on one triangle of the block).
 The ``grid`` entries time ``QuadratureGrid.make`` at 56, 200 and 400 nodes,
 both with the Gauss-Legendre rule cache emptied first (the first call for
 that n) and served from it.  ``nystrom1d`` times the 1-D call in the shape
@@ -21,7 +24,7 @@ benchmark's ``verify`` ops: ``solve_real`` of the sudden quench 1.3 -> 2.7
 over t_max = 20 / 2.7 (about three periods) and ``solve_euclidean`` of the
 same quench up to beta = 2, each at the default tol and followed by its six
 dense-output queries.
-Prints JSON on stdout: the machine, the problem with its block sizes and
+Prints JSON on stdout: the machine, the problem with its kept blocks and
 the solvers' accepted step counts, and per entry the median, minimum and
 maximum over the runs in ms.
 """
@@ -101,9 +104,13 @@ def main() -> None:
     rho = oq.thermal_rho_coupled(oq.mode_thermo(m1, BETA), oq.mode_thermo(m2, BETA))
     sigma = oq.partial_transpose(rho)
     grid = oq.QuadratureGrid.for_kernel(sigma, POINTS)
-    blocks = oracle._symmetry_blocks(sigma, grid)
-    if blocks is None:
-        raise SystemExit("the kernel does not take the symmetric route")
+    kept = {}
+    for name, k in (("rho", rho), ("sigma", sigma)):
+        sym = oracle._symmetry_blocks(k, oq.QuadratureGrid.for_kernel(k, POINTS))
+        if sym is None:
+            raise SystemExit(f"{name} does not take the symmetric route")
+        kept[name] = sym[0]
+    blocks = kept["sigma"]
 
     import scipy
 
@@ -147,7 +154,10 @@ def main() -> None:
                     "python": platform.python_version(), "numpy": np.__version__,
                     "scipy": scipy.__version__, "processor": platform.processor()},
         "problem": {"kernel": "sigma", "spec": SPEC, "beta": BETA, "points_per_axis": POINTS,
-                    "nodes": POINTS ** 2, "block_sizes": [len(b) for b in blocks],
+                    "nodes": POINTS ** 2,
+                    "kept_block_sizes": {name: [len(b) for b in bs] for name, bs in kept.items()},
+                    "kept_share": {name: sum(len(b) for b in bs) / POINTS ** 2
+                                   for name, bs in kept.items()},
                     "top12_matvecs_per_block": _matvec_counts(blocks), "runs": RUNS},
         "ermakov_problem": {"quench": ERMAKOV_QUENCH, "t_max": T_MAX, "beta_max": BETA_MAX,
                             "steps": {name: fn()[1] for name, fn in ermakov.items()}},

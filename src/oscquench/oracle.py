@@ -36,6 +36,23 @@ with a matvec that reads one triangle of the block in place (BLAS
 takes one symmetric rank-k product per block, m^3/16 flops in all against
 m^3 for S_w (m^3/4 on the {I, P} route).
 
+Before any ``exp`` is taken, the symmetric route drops every node orbit
+whose rows of S_w are provably below 1e-24 of its largest diagonal entry.
+With Sigma = M - Q_oi M^-1 Q_oi, maximising log |S_w[r, s]| over a
+continuous p_s gives |S_w[r, s]| <= exp(g_r) for every s, with
+g_r = 1/2 log(norm w_r) + 1/2 max log(norm w) - p_r^T Sigma p_r; the largest
+diagonal entry costs O(m) through the diagonal exponent.  Sigma and w are
+invariant under P and X, so whole orbits go, and the blocks are assembled
+on the kept representatives only.  When M or Sigma is not positive
+definite nothing is dropped.  The spectrum is that of S_w with the dropped
+rows and columns set to zero, so a dense spectrum is padded with zeros to
+all m eigenvalues; by Weyl each eigenvalue moves by at most
+|E|_F <= sqrt(2 m |J|) max_{r in J} exp(g_r), J the dropped nodes, and
+tr S_w^p by at most p |E|_F (|S|_F + |E|_F)^(p-1).  The error estimates add
+these terms.  Grids sized by ``QuadratureGrid.for_kernel`` keep about half
+their nodes (433, 421, 404 and 416 of the 812, 784, 756 and 784 block rows
+of the partial transpose of 3->6/3->6 at beta 0.6 on 56^2 nodes).
+
 A kernel with an asymmetric Q_oi, or a grid built by hand without the node
 parity, takes the general route: the kernel matrix, a general eigensolve
 whose imaginary residue is checked, general products.  tr K needs only the
@@ -61,6 +78,8 @@ ECONOMY_MAX_AXIS = 128
 IMAG_RESIDUE_TOL = 1e-8
 # relative asymmetry of Q_oi up to which the symmetric route is taken
 _SYM_TOL = 1e-12
+# log of the share of the largest diagonal entry of S_w below which a row of S_w is dropped
+_LOG_NEGLIGIBLE = math.log(1e-24)
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,8 +187,12 @@ def _symmetry_blocks(k: QuadraticKernel, grid: QuadratureGrid):
     T_h[r, s] = S_w[r, h s] is ``_assemble`` with the cross block Q_oi G_h,
     and the character chi has the block
     sum_h chi(h) T_h[r, s] / sqrt(|Stab r| |Stab s|) on the representatives
-    whose stabiliser chi fixes (any other row vanishes).  ``None`` when Q_oi
-    is not symmetric to 1e-12 of max |Q|, or the grid lacks the node parity.
+    whose stabiliser chi fixes (any other row vanishes).  Orbits whose rows
+    lie below exp(_LOG_NEGLIGIBLE) of the largest diagonal entry of S_w by
+    ``_row_bounds`` are dropped first.  Returns the blocks and the bound
+    sqrt(2 m |J|) max_J exp(g) on the Frobenius norm of the dropped rows and
+    columns (0 when nothing is dropped), or ``None`` when Q_oi is not
+    symmetric to 1e-12 of max |Q|, or the grid lacks the node parity.
     """
     d = k.dim
     q = k.q
@@ -205,11 +228,28 @@ def _symmetry_blocks(k: QuadraticKernel, grid: QuadratureGrid):
     order = np.argsort(np.dot(1 << np.arange(len(perms)), fixes), kind="stable")
     reps, fixes = reps[order], fixes[:, order]
     p = p[reps]
+    n_orbits = len(reps)
+    # drop the orbits whose rows are negligible; w and the bound are orbit-invariant
+    pruned = 0.0
+    bounds = _row_bounds(k, p, w[reps])
+    if bounds is not None:
+        bound, cut = bounds
+        keep = bound >= cut
+        if not keep.all():
+            orbit = len(perms) // fixes[:, ~keep].sum(axis=0)
+            pruned = math.sqrt(2 * m * orbit.sum()) * math.exp(bound[~keep].max())
+            reps, fixes, p = reps[keep], fixes[:, keep], p[keep]
     # the norm and the weights enter as sqrt(norm w_r) sqrt(norm w_s), the stabilisers as above
     h = (0.5 * (math.log(k.norm) + np.log(w[reps]) - np.log(fixes.sum(axis=0)))
          - _quad(p, big_m))
-    # one buffer for all T_h: a single large allocation faults its pages in far faster than several
-    blocks = list(np.empty((len(maps), len(reps), len(reps))))
+    # one buffer for all T_h: a single large allocation faults its pages in far faster than
+    # several.  It is sized for every orbit, kept or not, with the blocks at its front: one
+    # request size per grid lets malloc reuse the same memory call after call, where sizes
+    # that vary with the dropped orbits fragment its heap (over 138 benchmark verify cycles,
+    # peak RSS 126 MB against 112 MB).  Pages past the kept blocks are never touched.
+    rows = len(reps)
+    buf = np.empty(len(maps) * n_orbits ** 2)
+    blocks = list(buf[:len(maps) * rows * rows].reshape(len(maps), rows, rows))
     for block, g in zip(blocks, maps):
         _assemble(p, h, q_sym @ g, h, out=block)
     # Walsh-Hadamard butterfly in place: blocks[c] becomes sum_b (-1)^popcount(b & c) T_b
@@ -229,7 +269,33 @@ def _symmetry_blocks(k: QuadraticKernel, grid: QuadratureGrid):
         keep = np.flatnonzero(~np.any(fixes & (signs[c][:, None] < 0), axis=0))
         if len(keep) < len(reps):
             blocks[c] = _compact(blocks[c], keep)
-    return blocks
+    return blocks, pruned
+
+
+def _row_bounds(k: QuadraticKernel, pts: np.ndarray, w: np.ndarray):
+    """Bounds g with |S_w[r, s]| <= exp(g_r) for every s, and the cut log(eps max_r S_w[r, r]).
+
+    Over the points ``pts`` of weights ``w``, which hold the grid's largest
+    weight.  log |S_w[r, s]| is 1/2 log(norm w_r) + 1/2 log(norm w_s)
+    - (p_r, p_s) [[M, Q_oi], [Q_oi, M]] (p_r, p_s), and its maximum over p_s
+    in R^d is reached at -M^-1 Q_oi p_r when M is positive definite, so
+    g_r = 1/2 log(norm w_r) + 1/2 max log(norm w) - p_r^T Sigma p_r with
+    Sigma = M - Q_oi M^-1 Q_oi.  The diagonal is norm w_r exp(-p_r^T D p_r),
+    D from ``_diagonal_exponent``.  ``None`` (prune nothing) when M or
+    Sigma is not positive definite.
+    """
+    d = k.dim
+    q = k.q
+    big_m = (q[:d, :d] + q[d:, d:]) / 2
+    if np.linalg.eigvalsh(big_m).min() <= 0:
+        return None
+    q_sym = (q[:d, d:] + q[d:, :d]) / 2
+    sigma = big_m - q_sym @ np.linalg.solve(big_m, q_sym)
+    if np.linalg.eigvalsh(sigma).min() <= 0:
+        return None
+    log_nw = math.log(k.norm) + np.log(w)
+    g = 0.5 * (log_nw + log_nw.max()) - _quad(pts, sigma)
+    return g, float((log_nw - _quad(pts, _diagonal_exponent(k))).max()) + _LOG_NEGLIGIBLE
 
 
 def _compact(block: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -274,26 +340,45 @@ def _parity_eigvals(blocks, top_k) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _parity_trace(blocks, p: int) -> float:
-    """tr S_w^p, p in {2, 3}, as the sum over the blocks."""
+def _parity_trace(blocks, p: int) -> tuple[float, float]:
+    """tr S_w^p, p in {2, 3}, and tr S_w^2, as sums over the blocks."""
     if p == 2:
-        return float(sum(np.vdot(b, b) for b in blocks))
+        square = float(sum(np.vdot(b, b) for b in blocks))
+        return square, square
     # b @ b.T is a rank-k update (syrk): half the flops of a general product,
-    # and one block at a time keeps a single product buffer alive
-    return float(sum(np.vdot(b @ b.T, b) for b in blocks))
+    # and its trace is the block's squared norm.  All blocks share one product
+    # buffer: four requests of sizes that vary with the dropped orbits would
+    # fragment malloc's heap (see ``_symmetry_blocks``)
+    out = np.empty(max(len(b) for b in blocks) ** 2)
+    cube = square = 0.0
+    for b in blocks:
+        bb = np.matmul(b, b.T, out=out[:b.size].reshape(b.shape))
+        cube += np.vdot(bb, b)
+        square += np.trace(bb)
+    return float(cube), float(square)
 
 
 def _spectrum_once(k: QuadraticKernel, grid: QuadratureGrid, top_k):
-    """Eigenvalues sorted by |lambda| descending, the top ``top_k`` if set, and the imaginary residue."""
+    """Eigenvalues sorted by |lambda| descending (the top ``top_k`` if set), imaginary residue, dropped norm.
+
+    The dropped norm bounds the Frobenius norm of the rows and columns of
+    S_w that the symmetric route dropped; it is 0 on the general route.
+    """
     m = grid.n_points ** k.dim
     if top_k is None and m > FULL_EIG_MAX:
         raise DomainError(
             f"dense eigensolve capped at {FULL_EIG_MAX} nodes (got {m}); pass top_k for economy mode")
     # scipy is imported inside the functions that use it, not at module level: it
     # costs the CLI, which never calls the oracle, most of its start-up time and memory
-    blocks = _symmetry_blocks(k, grid)
-    if blocks is not None:
+    sym = _symmetry_blocks(k, grid)
+    pruned = 0.0
+    if sym is not None:
+        blocks, pruned = sym
         ev = _parity_eigvals(blocks, top_k)
+        # the dropped rows and columns are zero, and so are their eigenvalues
+        want = m if top_k is None else min(top_k, m)
+        if len(ev) < want:
+            ev = np.concatenate([ev, np.zeros(want - len(ev))])
         residue = 0.0
     else:
         mat, w = kernel_matrix(k, grid)
@@ -313,7 +398,7 @@ def _spectrum_once(k: QuadraticKernel, grid: QuadratureGrid, top_k):
             raise NumericalFailureError(
                 f"discretised operator has complex eigenvalues (max imag {residue:.3e})")
         ev = ev.real
-    return ev[np.argsort(-np.abs(ev))][:top_k], residue
+    return ev[np.argsort(-np.abs(ev))][:top_k], residue, pruned
 
 
 def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None = None,
@@ -330,12 +415,18 @@ def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None
     symmetric eigensolves (Lanczos per block for ``top_k``), real by
     construction, ``imag_residue`` 0.  Only a kernel with an asymmetric Q_oi
     (or a hand-built grid without the node parity) takes the general real
-    eigensolve, where genuinely complex output is an error.
+    eigensolve, where genuinely complex output is an error.  The symmetric
+    route first drops the node orbits whose rows of S_w are provably below
+    1e-24 of its largest diagonal entry (see the module docstring): the
+    eigenvalues are those of S_w with the dropped rows and columns set to
+    zero, padded with zeros where fewer than asked for remain.
 
     Returns min(``top_k``, m) eigenvalues sorted by |lambda| descending, all
     m without ``top_k``; ``top_k`` < 1 is refused.  The error estimate is
     the change of the leading eigenvalues on a refined or coarsened grid,
-    plus tau / (1 - tau) |tr K|, with tau the bound on the share of the
+    plus the bound on the Frobenius norm of the dropped rows and columns
+    (by Weyl, no eigenvalue moves further), plus tau / (1 - tau) |tr K|,
+    with tau the bound on the share of the
     diagonal envelope exp(-x^T D x), D = Q_oo + Q_oi + Q_oi^T + Q_ii, beyond
     +-L: restricting a positive kernel to the box lowers each eigenvalue by
     at most the trace it loses.  A D that is not positive definite is
@@ -346,19 +437,19 @@ def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None
         raise DomainError(f"2-d grids capped at {ECONOMY_MAX_AXIS} points per axis")
     if top_k is not None and top_k < 1:
         raise DomainError(f"top_k must be >= 1, got {top_k}")
-    ev, residue = _spectrum_once(k, grid, top_k)
+    ev, residue, pruned = _spectrum_once(k, grid, top_k)
     err = math.nan
     if with_error:
         n_check = 12 if top_k is None else min(top_k, 12)
         if k.dim == 1:
-            other, _ = _spectrum_once(k, grid.refined(), top_k)
+            other = _spectrum_once(k, grid.refined(), top_k)[0]
         elif grid.n_points * 2 <= ECONOMY_MAX_AXIS:
-            other, _ = _spectrum_once(k, grid.refined(), n_check)
+            other = _spectrum_once(k, grid.refined(), n_check)[0]
         else:
-            other, _ = _spectrum_once(k, grid.coarsened(), n_check)
+            other = _spectrum_once(k, grid.coarsened(), n_check)[0]
         n_cmp = min(len(ev), len(other), n_check)
-        err = float(np.abs(ev[:n_cmp] - other[:n_cmp]).max())
-        err += _truncation_error(_truncation(k, grid), 1, _trace_once(k, 1, grid))
+        err = float(np.abs(ev[:n_cmp] - other[:n_cmp]).max()) + pruned
+        err += _truncation_error(_truncation(k, grid), 1, _trace_once(k, 1, grid)[0])
         if tol is not None and err > 10 * tol:
             raise NumericalFailureError(
                 f"spectrum not converged: error estimate {err:.3e} > 10 x tol {tol:.1e}")
@@ -395,19 +486,23 @@ def _truncation_error(tau: float, p: int, value: float) -> float:
     return abs(value) * math.expm1(-p * math.log1p(-tau)) if tau < 1 else math.inf
 
 
-def _trace_once(k: QuadraticKernel, p: int, grid: QuadratureGrid) -> float:
+def _trace_once(k: QuadraticKernel, p: int, grid: QuadratureGrid) -> tuple[float, float]:
+    """tr K^p on ``grid`` and a bound on its change from the rows and columns the symmetric route dropped."""
     if p == 1:
         # tr K = sum_a w_a K(x_a, x_a): the diagonal alone, O(m) for any kernel
         pts, w = _points(k, grid)
-        return float(k.norm * np.dot(w, np.exp(-_quad(pts, _diagonal_exponent(k)))))
-    blocks = _symmetry_blocks(k, grid)
-    if blocks is not None:
-        return _parity_trace(blocks, p)
+        return float(k.norm * np.dot(w, np.exp(-_quad(pts, _diagonal_exponent(k))))), 0.0
+    sym = _symmetry_blocks(k, grid)
+    if sym is not None:
+        blocks, pruned = sym
+        value, square = _parity_trace(blocks, p)
+        # |tr (S + E)^p - tr S^p| <= p |E| (|S| + |E|)^(p - 1) in the Frobenius norm
+        return value, p * pruned * (math.sqrt(square) + pruned) ** (p - 1)
     mat, w = kernel_matrix(k, grid)
     mat *= w[None, :]
     if p == 2:
-        return float(np.sum(mat * mat.T))
-    return float(np.sum((mat @ mat) * mat.T))
+        return float(np.sum(mat * mat.T)), 0.0
+    return float(np.sum((mat @ mat) * mat.T)), 0.0
 
 
 def trace_power(k: QuadraticKernel, p: int, grid: QuadratureGrid,
@@ -418,10 +513,13 @@ def trace_power(k: QuadraticKernel, p: int, grid: QuadratureGrid,
     route contracts the symmetry blocks B_chi of S_w (see
     ``nystrom_spectrum``): tr S_w^2 = sum |B_chi|^2, and tr S_w^3 =
     sum tr B_chi^3 by one symmetric rank-k product per block, m^3/16 flops
-    in all for a two-mode kernel of the package.
+    in all for a two-mode kernel of the package, fewer for the node orbits
+    the route drops as negligible (see the module docstring).
 
     Returns ``(value, error_estimate)``.  The estimate is the change under
-    grid refinement (halved grid for large 2-d problems) plus
+    grid refinement (halved grid for large 2-d problems), plus
+    p |E| (|S| + |E|)^(p-1) for the dropped rows and columns E of S_w
+    (Frobenius norms, S with E set to zero), plus
     |value| ((1 - tau)^-p - 1), with tau the bound on the share of the
     diagonal envelope exp(-x^T D x) beyond +-L (see ``nystrom_spectrum``).
     For p = 1 in 1-d that term is the missing mass exactly; for p = 2, 3 it
@@ -431,14 +529,14 @@ def trace_power(k: QuadraticKernel, p: int, grid: QuadratureGrid,
     """
     if p not in (1, 2, 3):
         raise DomainError(f"p must be 1, 2 or 3, got {p}")
-    value = _trace_once(k, p, grid)
+    value, pruned = _trace_once(k, p, grid)
     err = math.nan
     if with_error:
         if k.dim == 2 and grid.n_points * 2 > ECONOMY_MAX_AXIS:
-            other = _trace_once(k, p, grid.coarsened())
+            other = _trace_once(k, p, grid.coarsened())[0]
         else:
-            other = _trace_once(k, p, grid.refined())
-        err = abs(value - other) + _truncation_error(_truncation(k, grid), p, value)
+            other = _trace_once(k, p, grid.refined())[0]
+        err = abs(value - other) + pruned + _truncation_error(_truncation(k, grid), p, value)
         if tol is not None and err > 10 * tol:
             raise NumericalFailureError(
                 f"trace power not converged: error estimate {err:.3e} > 10 x tol {tol:.1e}")

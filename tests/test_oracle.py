@@ -147,8 +147,9 @@ class TestTopKEigensolve:
         symmetry_blocks = oracle._symmetry_blocks
 
         def blocks(*args):
-            made.extend(symmetry_blocks(*args))
-            return made
+            sym = symmetry_blocks(*args)
+            made.extend(sym[0])
+            return sym
 
         monkeypatch.setattr(oracle, "_symmetry_blocks", blocks)
         seen = []
@@ -173,7 +174,7 @@ class TestTopKEigensolve:
     @pytest.mark.parametrize("kernel", ["rho", "sigma"])
     def test_top12_matches_dense_block_spectra(self, kernel):
         k, grid = self._kernel(kernel)
-        dense = np.concatenate([np.linalg.eigvalsh(b) for b in oracle._symmetry_blocks(k, grid)])
+        dense = np.concatenate([np.linalg.eigvalsh(b) for b in oracle._symmetry_blocks(k, grid)[0]])
         dense = dense[np.argsort(-np.abs(dense))][:12]
         top = nystrom_spectrum(k, grid, top_k=12, with_error=False).eigenvalues
         assert np.abs(top - dense).max() <= 1e-13 * abs(dense[0])
@@ -419,10 +420,18 @@ class TestSymmetricAndGeneralRoutes:
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_route_blocks(self, case):
         k, grid, route = self.CASES[case]
-        blocks = oracle._symmetry_blocks(k, grid)
-        assert (None if blocks is None else len(blocks)) == BLOCKS[route]
-        if blocks is not None:
-            assert sum(len(b) for b in blocks) == grid.n_points ** k.dim
+        sym = oracle._symmetry_blocks(k, grid)
+        assert (None if sym is None else len(sym[0])) == BLOCKS[route]
+        if sym is not None:
+            blocks, pruned = sym
+            # the blocks hold the kept nodes; the rest are the nodes whose row bound falls below the cut
+            g, cut = oracle._row_bounds(k, *oracle._points(k, grid))
+            dropped = np.count_nonzero(g < cut)
+            m = grid.n_points ** k.dim
+            assert sum(len(b) for b in blocks) + dropped == m
+            # |E|_F <= sqrt(2 m |J|) max_J exp(g), J the dropped nodes
+            bound = math.sqrt(2 * m * dropped) * math.exp(g[g < cut].max()) if dropped else 0.0
+            assert pruned == pytest.approx(bound, rel=1e-12, abs=0)
             assert all(b.flags.c_contiguous for b in blocks)
 
     @pytest.mark.parametrize("case", range(len(CASES)))
@@ -453,6 +462,129 @@ class TestSymmetricAndGeneralRoutes:
         # tr K reads only the diagonal; p = 2, 3 build the kernel matrix only off the symmetric route
         assert len(calls) == (2 if route == "general" else 0)
 
+    @pytest.mark.parametrize("case", [i for i, c in enumerate(CASES) if c[2] != "general"])
+    def test_row_bound_covers_every_entry(self, case):
+        k, grid, _ = self.CASES[case]
+        _assert_row_bound(k, grid)
+
+
+def _assert_row_bound(k, grid):
+    """max_s |S_w[r, s]| <= exp(g_r) on every node r, with S_w built from kernel_matrix."""
+    pts, w = oracle._points(k, grid)
+    g, _ = oracle._row_bounds(k, pts, w)
+    d = k.dim
+    # S_w = D^-1 W^1/2 K W^1/2 D with D = diag(exp(-e)), e(x) = x (Q_oo - Q_ii) x / 2
+    e = np.einsum("ai,ij,aj->a", pts, (k.q[:d, :d] - k.q[d:, d:]) / 2, pts)
+    sw, _ = kernel_matrix(k, grid)
+    sw *= (np.sqrt(w) * np.exp(e))[:, None]
+    sw *= (np.sqrt(w) * np.exp(-e))[None, :]
+    row_max = np.abs(sw, out=sw).max(axis=1)
+    assert np.all(row_max <= np.exp(g) * (1 + 1e-12))
+
+
+def _seeded_states():
+    """The anchor 3->6/3->6 at beta 0.6 and two seeded upward quenches with omega_min beta in [0.5, 4]."""
+    rng = np.random.default_rng(20261018)
+    states = [(QuenchSpec(3, 6, 3, 6), 0.6)]
+    for _ in range(2):
+        k0, j = rng.uniform(0.5, 5.0), rng.uniform(0.1, 3.0)
+        spec = QuenchSpec(k0, k0 * rng.uniform(1.2, 4.0), j, j * rng.uniform(1.2, 4.0))
+        omega_min = min(min(m.omega_i, m.omega_f) for m in normal_modes(spec))
+        states.append((spec, rng.uniform(0.5, 4.0) / omega_min))
+    return states
+
+
+# symmetric Q_oi on a parity grid: M = (Q_oo + Q_ii)/2 positive definite with
+# Sigma = M - Q_oi M^-1 Q_oi indefinite, and M itself indefinite (there the
+# maximum over p_s behind the row bound does not exist); both grow along
+# the anti-diagonal, so their grids stay small enough for tr S^3 to keep its digits
+KERNEL_SIGMA_INDEFINITE = QuadraticKernel(2, 0.3, np.block([
+    [np.diag([3.0, 1.0]), np.diag([0.3, 1.05])], [np.diag([0.3, 1.05]), np.diag([3.0, 1.0])]]))
+KERNEL_M_INDEFINITE = QuadraticKernel(1, 0.45, np.array([[0.02, 0.3], [0.3, -0.06]]))
+
+
+class TestPruning:
+    """Orbits whose rows of S_w lie below 1e-24 of its largest diagonal entry are dropped."""
+
+    @staticmethod
+    def _unpruned(monkeypatch):
+        monkeypatch.setattr(oracle, "_LOG_NEGLIGIBLE", -math.inf)
+
+    @pytest.mark.parametrize("kernel", ["rho", "sigma"])
+    def test_row_bound_covers_every_entry_at_the_anchor(self, kernel):
+        k = RHO_2D if kernel == "rho" else SIGMA_2D
+        _assert_row_bound(k, QuadratureGrid.for_kernel(k, 56))
+
+    @pytest.mark.parametrize("n", [48, 56])
+    @pytest.mark.parametrize("kernel", ["rho", "sigma"])
+    def test_pruned_matches_unpruned(self, kernel, n, monkeypatch):
+        pruned, full = [], []
+        for results, patch in ((pruned, False), (full, True)):
+            if patch:
+                self._unpruned(monkeypatch)
+            for spec, beta in _seeded_states():
+                rho = coupled_state(spec, beta)
+                k = rho if kernel == "rho" else partial_transpose(rho)
+                grid = QuadratureGrid.for_kernel(k, n)
+                kept = sum(len(b) for b in oracle._symmetry_blocks(k, grid)[0])
+                top = nystrom_spectrum(k, grid, top_k=12, with_error=False).eigenvalues
+                traces = [trace_power(k, p, grid, with_error=False)[0] for p in (2, 3)]
+                results.append((kept, top, traces))
+        # the pruned runs did drop nodes, the unpruned kept all n^2
+        assert all(kept < n * n for kept, _, _ in pruned)
+        assert all(kept == n * n for kept, _, _ in full)
+        for (_, top, traces), (_, top_ref, traces_ref) in zip(pruned, full):
+            assert np.abs(top - top_ref).max() <= 1e-14 * abs(top_ref[0])
+            for value, ref in zip(traces, traces_ref):
+                assert abs(value - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("n", [33, 40])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_dense_spectrum_keeps_every_eigenvalue(self, dim, n, monkeypatch):
+        k = RHO_1D if dim == 1 else RHO_2D
+        grid = QuadratureGrid.for_kernel(k, n)
+        m = n ** dim
+        assert sum(len(b) for b in oracle._symmetry_blocks(k, grid)[0]) < m
+        ev = nystrom_spectrum(k, grid, with_error=False).eigenvalues
+        self._unpruned(monkeypatch)
+        ref = nystrom_spectrum(k, grid, with_error=False).eigenvalues
+        assert len(ev) == len(ref) == m
+        assert np.abs(ev - ref).max() <= 1e-14 * abs(ref[0])
+
+    @pytest.mark.parametrize("k, half_width", [(KERNEL_SIGMA_INDEFINITE, 4.5),
+                                               (KERNEL_M_INDEFINITE, 2.0)],
+                             ids=["sigma_indefinite", "m_indefinite"])
+    def test_no_pruning_without_a_bound(self, k, half_width, monkeypatch):
+        grid = QuadratureGrid.make(32, half_width)
+        assert oracle._row_bounds(k, *oracle._points(k, grid)) is None
+        blocks, pruned = oracle._symmetry_blocks(k, grid)
+        assert sum(len(b) for b in blocks) == grid.n_points ** k.dim and pruned == 0.0
+        ev = nystrom_spectrum(k, grid, with_error=False).eigenvalues
+        traces = [trace_power(k, p, grid, with_error=False)[0] for p in (2, 3)]
+        monkeypatch.setattr(oracle, "_symmetry_blocks", lambda *args: None)
+        ref = nystrom_spectrum(k, grid, with_error=False).eigenvalues
+        assert np.abs(np.sort(ev) - np.sort(ref)).max() <= 1e-12 * np.abs(ref).max()
+        for p, value in zip((2, 3), traces):
+            ref = trace_power(k, p, grid, with_error=False)[0]
+            assert abs(value - ref) <= 1e-12 * abs(ref)
+
+    def test_error_estimates_add_the_dropped_norm(self, monkeypatch):
+        grid = QuadratureGrid.for_kernel(RHO_1D, 40)
+        assert oracle._symmetry_blocks(RHO_1D, grid)[1] > 0
+        spectrum = nystrom_spectrum(RHO_1D, grid, top_k=6).error_estimate
+        traces = [trace_power(RHO_1D, p, grid) for p in (2, 3)]
+        # a dropped norm |E| = 1e-3 on the estimated grid and on its refinement
+        real = oracle._symmetry_blocks
+        monkeypatch.setattr(oracle, "_symmetry_blocks", lambda *args: (real(*args)[0], 1e-3))
+        assert nystrom_spectrum(RHO_1D, grid, top_k=6).error_estimate == pytest.approx(
+            spectrum - real(RHO_1D, grid)[1] + 1e-3, rel=1e-12, abs=0)
+        norm = math.sqrt(traces[0][0])
+        for p, (value, err) in zip((2, 3), traces):
+            value_e, err_e = trace_power(RHO_1D, p, grid)
+            assert value_e == value
+            # p |E| (|S| + |E|)^(p - 1) with |S| the Frobenius norm of the pruned S_w
+            assert err_e - err == pytest.approx(p * 1e-3 * (norm + 1e-3) ** (p - 1), rel=1e-6, abs=0)
+
 
 @st.composite
 def _two_mode_state(draw):
@@ -481,7 +613,7 @@ def test_package_kernels_match_the_reference(parity, state, kernel, data):
     rho = coupled_state(*state)
     k = rho if kernel == "rho" else partial_transpose(rho)
     grid = QuadratureGrid.for_kernel(k, data.draw(st.sampled_from(range(32 + parity, 41, 2))))
-    assert len(oracle._symmetry_blocks(k, grid)) == 4
+    assert len(oracle._symmetry_blocks(k, grid)[0]) == 4
     ref, traces = _reference(k, grid)
     dense = nystrom_spectrum(k, grid, with_error=False).eigenvalues
     assert np.abs(np.sort(dense) - ref).max() <= 1e-12 * np.abs(ref).max()
