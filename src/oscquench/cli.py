@@ -58,6 +58,9 @@ class SweepConfig:
     threads: int = 0
 
     def __post_init__(self):
+        for name, value in (("T_min", self.t_min), ("T_max", self.t_max)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if not (0 < self.t_min < self.t_max):
             raise DomainError(f"need 0 < T_min < T_max, got ({self.t_min}, {self.t_max})")
         if self.t_points < 2:
@@ -74,8 +77,8 @@ class SweepConfig:
                     alpha = float(obs.split(":", 1)[1])
                 except ValueError:
                     raise DomainError(f"bad renyi observable {obs!r}")
-                if alpha <= 0:
-                    raise DomainError(f"renyi order must be positive in {obs!r}")
+                if not 0 < alpha < math.inf:
+                    raise DomainError(f"renyi order must be positive and finite in {obs!r}")
                 continue
             raise DomainError(f"unknown observable {obs!r}")
         if self.threads < 0:
@@ -100,6 +103,10 @@ class SweepConfig:
         if not isinstance(qd, dict) or set(qd) != _QUENCH_KEYS:
             raise DomainError(f"quench must be an object with keys {sorted(_QUENCH_KEYS)}")
         quench = QuenchSpec(float(qd["k0_i"]), float(qd["k0_f"]), float(qd["j_i"]), float(qd["j_f"]))
+        for key in ("T_points", "threads"):
+            value = data.get(key, 0)
+            if isinstance(value, float) and not value.is_integer():
+                raise DomainError(f"{key} must be an integer, got {value}")
         return cls(quench=quench, t_min=float(data["T_min"]), t_max=float(data["T_max"]),
                    t_points=int(data["T_points"]), scale=data.get("scale", "linear"),
                    observables=tuple(data["observables"]), threads=int(data.get("threads", 0)))
@@ -356,6 +363,10 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         # tc table
+        for name, value in (("k0", args.k0), ("j_min", args.j_min), ("j_max", args.j_max)):
+            if not math.isfinite(value):
+                print(f"config error: {name} must be finite, got {value}", file=sys.stderr)
+                return EXIT_CONFIG
         if args.k0 <= 0:
             print(f"config error: k0 must be positive, got {args.k0}", file=sys.stderr)
             return EXIT_CONFIG

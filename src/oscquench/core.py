@@ -44,6 +44,9 @@ class QuenchSpec:
     j_f: float
 
     def __post_init__(self):
+        for name in ("k0_i", "k0_f", "j_i", "j_f"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.k0_i > 0 and self.k0_f > 0):
             raise DomainError(f"spring constants must be positive, got k0_i={self.k0_i}, k0_f={self.k0_f}")
         if self.k0_i + 2 * self.j_i <= 0:

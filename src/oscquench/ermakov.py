@@ -242,17 +242,6 @@ def solve_euclidean(mode: ModeQuench, beta_max: float, tol: float = 1e-10) -> Er
     return _integrate(rhs, beta_max, tol, wi)
 
 
-def gamma_phase(sol: ErmakovSolution, omega_i: float | None = None):
-    """Accumulated phase integral of omega(0)/b^2 on the solution grid.
-
-    Returns ``(t, gamma)`` arrays at the accepted steps; ``sol.gamma_at``
-    evaluates the integrator's dense output between them.  ``omega_i``, when given, must match the solved omega(0).
-    """
-    if omega_i is not None and not math.isclose(omega_i, sol.omega0, rel_tol=1e-12):
-        raise DomainError(f"omega_i = {omega_i} does not match solution omega(0) = {sol.omega0}")
-    return sol.t.copy(), sol.gamma.copy()
-
-
 def sudden_scale_real(omega_i: float, omega_f: float, t):
     """Closed-form b(t) after a sudden real-time quench (complex t allowed)."""
     wi2, wf2 = omega_i**2, omega_f**2

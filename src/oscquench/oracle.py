@@ -10,19 +10,23 @@ rule on [-1, 1] is computed once per node count and kept read-only; every
 grid scales its own copy by L.
 
 A kernel norm * exp(-v^T Q v), v = (out, in), has the blocks Q_oo, Q_oi and
-Q_ii.  When Q_oi is symmetric, the weighted matrix W^1/2 K W^1/2 is
-diagonally similar to a symmetric matrix S_w.  That covers every kernel the
-package builds: Hermitian states and their partial transposes, which are
-again real symmetric kernels (Simon, PRL 84, 2726 (2000)).
+Q_ii.  Spectra and tr K^p for p = 2, 3 need Q_oi symmetric, so that the
+weighted matrix W^1/2 K W^1/2 is diagonally similar to a symmetric matrix
+S_w.  That covers every kernel the package builds: Hermitian states and
+their partial transposes, which are again real symmetric kernels (Simon,
+PRL 84, 2726 (2000)); any other Q_oi is refused before anything is
+assembled.  tr K reads only the diagonal, O(m), and takes any kernel, as
+does ``kernel_matrix``, the dense reference that tests compare against.
 
-The kernel is centred (no linear term) and the nodes of a QuadratureGrid are
-exactly antisymmetric, its weights exactly symmetric (``leggauss``
-symmetrises them).  So the parity P: x -> -x, which reverses the flat node
-index, leaves S_w invariant.  Both oscillators of the model share k0, so a
-two-mode kernel is also invariant under the exchange X: x1 <-> x2, which
-maps the tensor grid onto itself.  S_w therefore splits over the characters
-chi of the group {I, P} (1-d, or a 2-d kernel without the exchange) or
-{I, P, X, PX}.  Over one representative r per node orbit the block of chi is
+The kernel is centred (no linear term), and a QuadratureGrid refuses nodes
+that are not exactly antisymmetric and weights that are not exactly
+symmetric (``leggauss`` symmetrises both).  So the parity P: x -> -x, which
+reverses the flat node index, leaves S_w invariant.  Both oscillators of
+the model share k0, so a two-mode kernel is also invariant under the
+exchange X: x1 <-> x2, which maps the tensor grid onto itself.  S_w
+therefore splits over the characters chi of the group {I, P} (1-d, or a
+2-d kernel without the exchange) or {I, P, X, PX}.  Over one representative
+r per node orbit the block of chi is
 sum_h chi(h) S_w[r, h s] / sqrt(|Stab r| |Stab s|), kept on the
 representatives whose stabiliser chi fixes (for odd grids the centre node
 only in the fully symmetric block).  Each T_h[r, s] = S_w[r, h s] is one
@@ -31,13 +35,13 @@ assembly with the cross block Q_oi G_h, and one Walsh-Hadamard butterfly,
 grid of m nodes that is four blocks of about m/4 rows: a quarter of the
 ``exp`` work of S_w and no m x m buffer.  Spectra are those of the blocks
 from symmetric eigensolvers: ``eigvalsh``, or for the top k ARPACK ``eigsh``
-with a matvec that reads one triangle of the block in place (BLAS
-``dsymv``).  tr S_w^2 is the sum of their squared norms, and tr S_w^3
-takes one symmetric rank-k product per block, m^3/16 flops in all against
-m^3 for S_w (m^3/4 on the {I, P} route).
+from a fixed start vector, with a matvec that reads one triangle of the
+block in place (BLAS ``dsymv``).  tr S_w^2 is the sum of their squared
+norms, and tr S_w^3 takes one symmetric rank-k product per block, m^3/16
+flops in all against m^3 for S_w (m^3/4 on the {I, P} route).
 
-Before any ``exp`` is taken, the symmetric route drops every node orbit
-whose rows of S_w are provably below 1e-24 of its largest diagonal entry.
+Before any ``exp`` is taken, every node orbit whose rows of S_w are
+provably below 1e-24 of its largest diagonal entry is dropped.
 With Sigma = M - Q_oi M^-1 Q_oi, maximising log |S_w[r, s]| over a
 continuous p_s gives |S_w[r, s]| <= exp(g_r) for every s, with
 g_r = 1/2 log(norm w_r) + 1/2 max log(norm w) - p_r^T Sigma p_r; the largest
@@ -52,11 +56,6 @@ tr S_w^p by at most p |E|_F (|S|_F + |E|_F)^(p-1).  The error estimates add
 these terms.  Grids sized by ``QuadratureGrid.for_kernel`` keep about half
 their nodes (433, 421, 404 and 416 of the 812, 784, 756 and 784 block rows
 of the partial transpose of 3->6/3->6 at beta 0.6 on 56^2 nodes).
-
-A kernel with an asymmetric Q_oi, or a grid built by hand without the node
-parity, takes the general route: the kernel matrix, a general eigensolve
-whose imaginary residue is checked, general products.  tr K needs only the
-kernel's diagonal and costs O(m) on either route.
 """
 
 from __future__ import annotations
@@ -75,8 +74,7 @@ MIN_POINTS = 32
 # full dense eigensolve up to this many nodes; iterative top-k beyond
 FULL_EIG_MAX = 4096
 ECONOMY_MAX_AXIS = 128
-IMAG_RESIDUE_TOL = 1e-8
-# relative asymmetry of Q_oi up to which the symmetric route is taken
+# relative asymmetry of Q_oi (and of the exchange) up to which the kernel is taken as symmetric
 _SYM_TOL = 1e-12
 # log of the share of the largest diagonal entry of S_w below which a row of S_w is dropped
 _LOG_NEGLIGIBLE = math.log(1e-24)
@@ -95,17 +93,27 @@ def _legendre_rule(n_points: int):
 class QuadratureGrid:
     """Gauss-Legendre nodes/weights on [-L, L], tensorised for 2-d kernels.
 
-    ``make`` gives exactly antisymmetric nodes and symmetric weights, the
-    parity P the oracle's symmetric route relies on; the tensor grid uses
-    the same nodes on both axes, so the exchange x1 <-> x2 maps it onto
-    itself.  ``refined`` and ``coarsened`` keep L, so the oracle's error
-    estimates bound the kernel's mass beyond +-L separately.
+    A grid holds ``n_points`` exactly antisymmetric nodes and exactly
+    symmetric weights, the parity P the oracle's symmetry blocks rely on;
+    any other arrays are refused when the grid is built, so they must not
+    be changed in place afterwards.  The tensor grid uses the same nodes on
+    both axes, so the exchange x1 <-> x2 maps it onto itself.  ``refined``
+    and ``coarsened`` keep L, so the oracle's error estimates bound the
+    kernel's mass beyond +-L separately.
     """
 
     n_points: int
     half_width: float
     nodes: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        if np.shape(self.nodes) != (self.n_points,) or np.shape(self.weights) != (self.n_points,):
+            raise DomainError(f"nodes and weights must each hold n_points = {self.n_points} values")
+        if not np.array_equal(self.nodes, -self.nodes[::-1]):
+            raise DomainError("nodes must be exactly antisymmetric about 0")
+        if not np.array_equal(self.weights, self.weights[::-1]):
+            raise DomainError("weights must be exactly symmetric about the centre node")
 
     @classmethod
     def make(cls, n_points: int, half_width: float) -> "QuadratureGrid":
@@ -120,14 +128,22 @@ class QuadratureGrid:
 
     @classmethod
     def for_kernel(cls, k: QuadraticKernel, n_points: int = 200) -> "QuadratureGrid":
-        """Choose L so the Gaussian envelope at +-L is far below 1e-18 of the peak."""
+        """A grid of half-width L = 8 / sqrt(min diag Q) on ``n_points`` nodes.
+
+        L reads single diagonal entries of Q, not the width of the kernel's
+        diagonal envelope exp(-x^T D x), so at high temperature the box can
+        cut real mass: for mode 0 of 3->6/3->6 at beta 0.05 the envelope at
+        +-L is 0.385 of its peak.  Refining keeps L, so the oracle's error
+        estimates report that mass through their truncation term (tau = 0.167
+        on 200 nodes there) rather than converge it away.
+        """
         q_min = float(np.diag(k.q).min())
         if q_min <= 0:
             raise DomainError("kernel has a non-positive diagonal exponent; not integrable")
         return cls.make(n_points, 8.0 / math.sqrt(q_min))
 
-    def refined(self, factor: float = 2.0) -> "QuadratureGrid":
-        return QuadratureGrid.make(int(round(self.n_points * factor)), self.half_width)
+    def refined(self) -> "QuadratureGrid":
+        return QuadratureGrid.make(2 * self.n_points, self.half_width)
 
     def coarsened(self) -> "QuadratureGrid":
         return QuadratureGrid.make(max(MIN_POINTS, self.n_points // 2), self.half_width)
@@ -139,7 +155,6 @@ class NumericSpectrum:
 
     eigenvalues: np.ndarray
     error_estimate: float
-    imag_residue: float
 
 
 def _points(k: QuadraticKernel, grid: QuadratureGrid):
@@ -166,7 +181,11 @@ def _assemble(p: np.ndarray, h_out: np.ndarray, q_oi: np.ndarray, h_in: np.ndarr
 
 
 def kernel_matrix(k: QuadraticKernel, grid: QuadratureGrid):
-    """Dense kernel matrix K[a, b] = K(out = node_a, in = node_b) and weights."""
+    """Dense kernel matrix K[a, b] = K(out = node_a, in = node_b) and weights.
+
+    The oracle itself never builds this m x m matrix; it is the direct
+    reference, for any Q_oi, that its symmetry blocks are checked against.
+    """
     p, w = _points(k, grid)
     d = k.dim
     mat = _assemble(p, -_quad(p, k.q[:d, :d]), k.q[:d, d:], -_quad(p, k.q[d:, d:]))
@@ -175,7 +194,7 @@ def kernel_matrix(k: QuadraticKernel, grid: QuadratureGrid):
 
 
 def _symmetry_blocks(k: QuadraticKernel, grid: QuadratureGrid):
-    """Blocks of the symmetric S_w = D^-1 W^1/2 K W^1/2 D, one per character of its symmetry group, or None.
+    """Blocks of the symmetric S_w = D^-1 W^1/2 K W^1/2 D, one per character of its symmetry group.
 
     With M = (Q_oo + Q_ii)/2 the exponent is x'Mx' + 2x'Q_oi x + xMx
     + e(x') - e(x), e(x) = x(Q_oo - Q_ii)x/2, so the e terms are the
@@ -191,18 +210,17 @@ def _symmetry_blocks(k: QuadraticKernel, grid: QuadratureGrid):
     lie below exp(_LOG_NEGLIGIBLE) of the largest diagonal entry of S_w by
     ``_row_bounds`` are dropped first.  Returns the blocks and the bound
     sqrt(2 m |J|) max_J exp(g) on the Frobenius norm of the dropped rows and
-    columns (0 when nothing is dropped), or ``None`` when Q_oi is not
-    symmetric to 1e-12 of max |Q|, or the grid lacks the node parity.
+    columns (0 when nothing is dropped).  A Q_oi that is not symmetric to
+    1e-12 of max |Q| is refused before anything is assembled.
     """
     d = k.dim
     q = k.q
     tol = _SYM_TOL * max(np.abs(q).max(), 1.0)
     q_oi = q[:d, d:]
-    if np.abs(q_oi - q_oi.T).max() > tol:
-        return None
-    if not (np.array_equal(grid.nodes, -grid.nodes[::-1])
-            and np.array_equal(grid.weights, grid.weights[::-1])):
-        return None
+    asym = np.abs(q_oi - q_oi.T).max()
+    if asym > tol:
+        raise DomainError(f"cross block Q_oi is asymmetric by {asym:.3e} (> {tol:.1e}): "
+                          "not the kernel of a Hermitian state or its partial transpose")
     p, w = _points(k, grid)
     m = len(w)
     big_m = (q[:d, :d] + q[d:, d:]) / 2
@@ -324,6 +342,9 @@ def _parity_eigvals(blocks, top_k) -> np.ndarray:
     half the memory traffic of a general product.  The transpose of a
     C-contiguous block is an F-contiguous view, which BLAS takes without a
     copy; handing over the block itself would copy it on every matvec.
+    Each Lanczos run starts from a vector seeded by the block size alone:
+    without one, ``eigsh`` draws its start from OS entropy, and the top
+    eigenvalues would change in their last bits from call to call.
     """
     parts = []
     for block in blocks:
@@ -334,7 +355,8 @@ def _parity_eigvals(blocks, top_k) -> np.ndarray:
 
             op = LinearOperator(block.shape, matvec=lambda v, a=block.T: dsymv(1.0, a, v),
                                 dtype=block.dtype)
-            parts.append(eigsh(op, k=top_k, which="LM", return_eigenvectors=False))
+            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, len(block))
+            parts.append(eigsh(op, k=top_k, which="LM", v0=v0, return_eigenvectors=False))
         else:
             parts.append(np.linalg.eigvalsh(block))
     return np.concatenate(parts)
@@ -359,10 +381,10 @@ def _parity_trace(blocks, p: int) -> tuple[float, float]:
 
 
 def _spectrum_once(k: QuadraticKernel, grid: QuadratureGrid, top_k):
-    """Eigenvalues sorted by |lambda| descending (the top ``top_k`` if set), imaginary residue, dropped norm.
+    """Eigenvalues sorted by |lambda| descending (the top ``top_k`` if set), and the dropped norm.
 
     The dropped norm bounds the Frobenius norm of the rows and columns of
-    S_w that the symmetric route dropped; it is 0 on the general route.
+    S_w that were dropped as negligible.
     """
     m = grid.n_points ** k.dim
     if top_k is None and m > FULL_EIG_MAX:
@@ -370,56 +392,32 @@ def _spectrum_once(k: QuadraticKernel, grid: QuadratureGrid, top_k):
             f"dense eigensolve capped at {FULL_EIG_MAX} nodes (got {m}); pass top_k for economy mode")
     # scipy is imported inside the functions that use it, not at module level: it
     # costs the CLI, which never calls the oracle, most of its start-up time and memory
-    sym = _symmetry_blocks(k, grid)
-    pruned = 0.0
-    if sym is not None:
-        blocks, pruned = sym
-        ev = _parity_eigvals(blocks, top_k)
-        # the dropped rows and columns are zero, and so are their eigenvalues
-        want = m if top_k is None else min(top_k, m)
-        if len(ev) < want:
-            ev = np.concatenate([ev, np.zeros(want - len(ev))])
-        residue = 0.0
-    else:
-        mat, w = kernel_matrix(k, grid)
-        sw = np.sqrt(w)
-        mat *= sw[:, None]
-        mat *= sw[None, :]
-        # ARPACK's eigs needs top_k < m - 1
-        if top_k is not None and top_k < m - 1:
-            from scipy.sparse.linalg import eigs
-
-            ev = eigs(mat, k=top_k, which="LM", return_eigenvectors=False)
-        else:
-            ev = np.linalg.eigvals(mat)
-        residue = float(np.abs(ev.imag).max()) if ev.size else 0.0
-        scale = max(float(np.abs(ev).max()), 1e-300)
-        if residue > IMAG_RESIDUE_TOL * scale:
-            raise NumericalFailureError(
-                f"discretised operator has complex eigenvalues (max imag {residue:.3e})")
-        ev = ev.real
-    return ev[np.argsort(-np.abs(ev))][:top_k], residue, pruned
+    blocks, pruned = _symmetry_blocks(k, grid)
+    ev = _parity_eigvals(blocks, top_k)
+    # the dropped rows and columns are zero, and so are their eigenvalues
+    want = m if top_k is None else min(top_k, m)
+    if len(ev) < want:
+        ev = np.concatenate([ev, np.zeros(want - len(ev))])
+    return ev[np.argsort(-np.abs(ev))][:top_k], pruned
 
 
 def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None = None,
                      with_error: bool = True, tol: float | None = None) -> NumericSpectrum:
     """Eigenvalues of the weighted kernel matrix W^1/2 K W^1/2.
 
-    When the cross block Q_oi of the exponent is symmetric, as in every
+    The cross block Q_oi of the exponent must be symmetric, as in every
     kernel the package builds (Hermitian states and their partial
-    transposes), W^1/2 K W^1/2 = D S_w D^-1 with S_w symmetric and D
-    diagonal.  On a QuadratureGrid the centred kernel makes S_w invariant
-    under the parity P, and a two-mode kernel of the package also under the
-    exchange X, so the spectrum is the union of those of one block per
-    character of {I, P} or {I, P, X, PX} (see the module docstring):
-    symmetric eigensolves (Lanczos per block for ``top_k``), real by
-    construction, ``imag_residue`` 0.  Only a kernel with an asymmetric Q_oi
-    (or a hand-built grid without the node parity) takes the general real
-    eigensolve, where genuinely complex output is an error.  The symmetric
-    route first drops the node orbits whose rows of S_w are provably below
-    1e-24 of its largest diagonal entry (see the module docstring): the
-    eigenvalues are those of S_w with the dropped rows and columns set to
-    zero, padded with zeros where fewer than asked for remain.
+    transposes); then W^1/2 K W^1/2 = D S_w D^-1 with S_w symmetric and D
+    diagonal, and an asymmetric Q_oi is refused.  On a QuadratureGrid the
+    centred kernel makes S_w invariant under the parity P, and a two-mode
+    kernel of the package also under the exchange X, so the spectrum is the
+    union of those of one block per character of {I, P} or {I, P, X, PX}
+    (see the module docstring): symmetric eigensolves (Lanczos per block for
+    ``top_k``), real by construction.  The node orbits whose rows of S_w are
+    provably below 1e-24 of its largest diagonal entry are dropped first
+    (see the module docstring): the eigenvalues are those of S_w with the
+    dropped rows and columns set to zero, padded with zeros where fewer than
+    asked for remain.
 
     Returns min(``top_k``, m) eigenvalues sorted by |lambda| descending, all
     m without ``top_k``; ``top_k`` < 1 is refused.  The error estimate is
@@ -437,7 +435,7 @@ def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None
         raise DomainError(f"2-d grids capped at {ECONOMY_MAX_AXIS} points per axis")
     if top_k is not None and top_k < 1:
         raise DomainError(f"top_k must be >= 1, got {top_k}")
-    ev, residue, pruned = _spectrum_once(k, grid, top_k)
+    ev, pruned = _spectrum_once(k, grid, top_k)
     err = math.nan
     if with_error:
         n_check = 12 if top_k is None else min(top_k, 12)
@@ -453,7 +451,7 @@ def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None
         if tol is not None and err > 10 * tol:
             raise NumericalFailureError(
                 f"spectrum not converged: error estimate {err:.3e} > 10 x tol {tol:.1e}")
-    return NumericSpectrum(eigenvalues=ev, error_estimate=err, imag_residue=residue)
+    return NumericSpectrum(eigenvalues=ev, error_estimate=err)
 
 
 def _diagonal_exponent(k: QuadraticKernel) -> np.ndarray:
@@ -487,34 +485,28 @@ def _truncation_error(tau: float, p: int, value: float) -> float:
 
 
 def _trace_once(k: QuadraticKernel, p: int, grid: QuadratureGrid) -> tuple[float, float]:
-    """tr K^p on ``grid`` and a bound on its change from the rows and columns the symmetric route dropped."""
+    """tr K^p on ``grid`` and a bound on its change from the rows and columns of S_w dropped as negligible."""
     if p == 1:
         # tr K = sum_a w_a K(x_a, x_a): the diagonal alone, O(m) for any kernel
         pts, w = _points(k, grid)
         return float(k.norm * np.dot(w, np.exp(-_quad(pts, _diagonal_exponent(k))))), 0.0
-    sym = _symmetry_blocks(k, grid)
-    if sym is not None:
-        blocks, pruned = sym
-        value, square = _parity_trace(blocks, p)
-        # |tr (S + E)^p - tr S^p| <= p |E| (|S| + |E|)^(p - 1) in the Frobenius norm
-        return value, p * pruned * (math.sqrt(square) + pruned) ** (p - 1)
-    mat, w = kernel_matrix(k, grid)
-    mat *= w[None, :]
-    if p == 2:
-        return float(np.sum(mat * mat.T)), 0.0
-    return float(np.sum((mat @ mat) * mat.T)), 0.0
+    blocks, pruned = _symmetry_blocks(k, grid)
+    value, square = _parity_trace(blocks, p)
+    # |tr (S + E)^p - tr S^p| <= p |E| (|S| + |E|)^(p - 1) in the Frobenius norm
+    return value, p * pruned * (math.sqrt(square) + pruned) ** (p - 1)
 
 
 def trace_power(k: QuadraticKernel, p: int, grid: QuadratureGrid,
                 with_error: bool = True, tol: float | None = None):
     """tr K^p for p in {1, 2, 3} by p-fold quadrature contraction.
 
-    p = 1 sums the kernel's diagonal, O(m).  For p = 2, 3 the symmetric
-    route contracts the symmetry blocks B_chi of S_w (see
+    p = 1 sums the kernel's diagonal, O(m), for any kernel.  For p = 2, 3
+    the cross block Q_oi must be symmetric (an asymmetric one is refused),
+    and the symmetry blocks B_chi of S_w are contracted (see
     ``nystrom_spectrum``): tr S_w^2 = sum |B_chi|^2, and tr S_w^3 =
     sum tr B_chi^3 by one symmetric rank-k product per block, m^3/16 flops
     in all for a two-mode kernel of the package, fewer for the node orbits
-    the route drops as negligible (see the module docstring).
+    dropped as negligible (see the module docstring).
 
     Returns ``(value, error_estimate)``.  The estimate is the change under
     grid refinement (halved grid for large 2-d problems), plus

@@ -195,8 +195,8 @@ def renyi_entropy(xi, alpha: float):
     Takes a float or, elementwise, an array of ratios.
     """
     x = _check_ladder_ratio(xi)
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
     if alpha == 1:
         return von_neumann_entropy(xi)
     s = (alpha * np.log1p(-x) - np.log1p(-(x**alpha))) / (1 - alpha)

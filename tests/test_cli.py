@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -233,6 +234,35 @@ class TestMain:
     def test_figure_command(self, tmp_path):
         assert main(["figure", "fig1a", "--out-dir", str(tmp_path)]) == EXIT_OK
         assert (tmp_path / "fig1a_omega5.csv").exists()
+
+    @pytest.mark.parametrize("change, field", [
+        ({"T_max": math.inf}, "T_max"),
+        ({"T_points": 3.9}, "T_points"),
+        ({"threads": math.inf}, "threads"),
+        ({"observables": ["renyi:inf"]}, "renyi:inf"),
+        ({"observables": ["renyi:nan"]}, "renyi:nan"),
+        ({"quench": dict(GOOD_CONFIG["quench"], j_f=math.inf)}, "j_f"),
+    ], ids=["T_max_inf", "T_points_fraction", "threads_inf", "renyi_inf", "renyi_nan", "j_f_inf"])
+    def test_non_finite_or_fractional_config_refused(self, tmp_path, capsys, change, field):
+        path = write_config(tmp_path, dict(GOOD_CONFIG, **change))
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+            assert field in capsys.readouterr().err
+            assert main(["validate", "--config", path]) == EXIT_CONFIG
+            assert field in capsys.readouterr().out
+        assert caught == [] and not out.exists()
+
+    @pytest.mark.parametrize("k0, j_max, field", [("1.0", "inf", "j_max"), ("nan", "10", "k0")],
+                             ids=["j_max_inf", "k0_nan"])
+    def test_non_finite_tc_range_refused(self, tmp_path, capsys, k0, j_max, field):
+        out = tmp_path / "tc.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["tc", "--k0", k0, "--j-min", "0.5", "--j-max", j_max, "--out", str(out)])
+        assert code == EXIT_CONFIG and caught == [] and not out.exists()
+        assert f"{field} must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("s,tc", [(1e-8, "1.55273475982e-08"), (1e8, "155273475.982")])
     def test_tc_of_a_scaled_spec(self, tmp_path, s, tc):

@@ -4,9 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from oscquench import (DomainError, FrequencySchedule, ModeQuench, gamma_phase,
-                       mode_thermo, solve_euclidean, solve_real,
-                       sudden_phase_real, sudden_scale_real)
+from oscquench import (DomainError, FrequencySchedule, ModeQuench, mode_thermo,
+                       solve_euclidean, solve_real, sudden_phase_real, sudden_scale_real)
 from oscquench.ermakov import TOL_MIN
 
 
@@ -213,13 +212,6 @@ class TestGammaPhase:
     def test_euclidean_gamma(self):
         sol = solve_euclidean(ModeQuench(3.0, 5.0), 1.0, tol=1e-11)
         assert sol.gamma_at(0.5) == pytest.approx(0.680691222685, abs=1e-8)
-
-    def test_samples_and_omega_check(self):
-        sol = solve_real(FrequencySchedule.constant(1.5), 1.0)
-        t, g = gamma_phase(sol, 1.5)
-        assert t.shape == g.shape and g[0] == 0.0
-        with pytest.raises(DomainError):
-            gamma_phase(sol, 2.0)
 
 
 class TestSchedules:

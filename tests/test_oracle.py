@@ -63,6 +63,15 @@ class TestQuadratureGrid:
         a.nodes[0] = 99.0
         assert b.nodes[0] == x[0] and QuadratureGrid.make(56, 1.0).nodes[0] == x[0]
 
+    def test_grid_without_node_parity_refused(self):
+        g = QuadratureGrid.make(40, 5.0)
+        bent = g.weights.copy()
+        bent[0] *= 1 + 1e-15
+        for n, nodes, weights in ((40, g.nodes + 0.25, g.weights), (40, g.nodes, bent),
+                                  (41, g.nodes, g.weights), (40, g.nodes, g.weights[1:-1])):
+            with pytest.raises(DomainError):
+                QuadratureGrid(n, 5.0, nodes, weights)
+
 
 class TestNystromSpectrum:
     def test_known_geometric_ladder(self):
@@ -71,7 +80,6 @@ class TestNystromSpectrum:
         expected = (1 - math.exp(-1)) * np.exp(-np.arange(3.0))
         assert np.abs(sp.eigenvalues[:3] - expected).max() < 1e-8
         assert sp.error_estimate < 1e-10
-        assert sp.imag_residue < 1e-12
 
     def test_topk_matches_full(self):
         k = thermal_rho_single(mode_thermo(ModeQuench(3, 5), 0.7))
@@ -99,12 +107,9 @@ class TestNystromSpectrum:
             nystrom_spectrum(rho, QuadratureGrid.for_kernel(rho, 80), with_error=False)
         nystrom_spectrum(rho, QuadratureGrid.for_kernel(rho, 80), top_k=4, with_error=False)
 
-    @pytest.mark.parametrize("shift", [0.0, 0.25], ids=["parity", "shifted"])
     @pytest.mark.parametrize("extra", [-2, 0, 8])
-    def test_top_k_near_and_beyond_m(self, extra, shift):
-        # a grid whose nodes lose their parity takes the general route
-        g = QuadratureGrid.for_kernel(RHO_1D, 32)
-        grid = QuadratureGrid(32, g.half_width, g.nodes + shift, g.weights)
+    def test_top_k_near_and_beyond_m(self, extra):
+        grid = QuadratureGrid.for_kernel(RHO_1D, 32)
         dense = nystrom_spectrum(RHO_1D, grid, with_error=False).eigenvalues
         top = nystrom_spectrum(RHO_1D, grid, top_k=32 + extra, with_error=False).eigenvalues
         assert len(top) == min(32 + extra, 32)
@@ -178,6 +183,12 @@ class TestTopKEigensolve:
         dense = dense[np.argsort(-np.abs(dense))][:12]
         top = nystrom_spectrum(k, grid, top_k=12, with_error=False).eigenvalues
         assert np.abs(top - dense).max() <= 1e-13 * abs(dense[0])
+
+    def test_top12_is_a_function_of_its_input(self):
+        k, grid = self._kernel("sigma")
+        first, second = (nystrom_spectrum(k, grid, top_k=12, with_error=False).eigenvalues
+                         for _ in range(2))
+        assert np.array_equal(first, second)
 
 
 class TestTracePower:
@@ -343,7 +354,7 @@ RHO_2D = coupled_state(QuenchSpec(3, 6, 3, 6), 0.6)
 SIGMA_2D = partial_transpose(RHO_2D)
 _G40 = QuadratureGrid.make(40, 5.0)
 # one block per character: {I, P, X, PX} for the package's two-mode kernels, {I, P} otherwise
-BLOCKS = {"PX": 4, "P": 2, "general": None}
+BLOCKS = {"PX": 4, "P": 2}
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -354,12 +365,15 @@ def _exchange_residual(k):
 
 
 class TestSymmetricAndGeneralRoutes:
-    """Every route of the oracle against a test-local reference on the same grid."""
+    """Every symmetry route of the oracle against a test-local reference on the same grid.
+
+    A kernel with an asymmetric Q_oi is refused for spectra and tr K^p, p = 2, 3.
+    """
 
     # even and odd node counts: an odd grid puts its centre node in the fully symmetric block
     CASES = [(KERNEL_1D, _G40, "P"),
              (KERNEL_2D, QuadratureGrid.make(32, 4.5), "P"),
-             (_product_kernel(), QuadratureGrid.make(32, 4.5), "general"),
+             (_product_kernel(), QuadratureGrid.make(32, 4.5), "refused"),
              (KERNEL_1D, QuadratureGrid.make(41, 5.0), "P"),
              (KERNEL_2D, QuadratureGrid.make(33, 4.5), "P"),
              (RHO_1D, QuadratureGrid.for_kernel(RHO_1D, 40), "P"),
@@ -368,8 +382,7 @@ class TestSymmetricAndGeneralRoutes:
              (RHO_2D, QuadratureGrid.for_kernel(RHO_2D, 33), "PX"),
              (SIGMA_2D, QuadratureGrid.for_kernel(SIGMA_2D, 32), "PX"),
              (SIGMA_2D, QuadratureGrid.for_kernel(SIGMA_2D, 33), "PX"),
-             # a hand-built grid without node parity
-             (KERNEL_1D, QuadratureGrid(40, 5.0, _G40.nodes + 0.25, _G40.weights), "general"),
+             (KERNEL_2D_QOI_BREAKS_X, QuadratureGrid.make(32, 4.5), "P"),
              (KERNEL_2D_M_BREAKS_X, QuadratureGrid.make(32, 4.5), "P"),
              (KERNEL_2D_M_BREAKS_X, QuadratureGrid.make(33, 4.5), "P"),
              (KERNEL_2D_QOI_BREAKS_X, QuadratureGrid.make(33, 4.5), "P")]
@@ -377,7 +390,7 @@ class TestSymmetricAndGeneralRoutes:
     for _k, _n in ((coupled_state(QuenchSpec(1, 1, -0.3, -0.3), 1.0), 33),
                    (partial_transpose(coupled_state(QuenchSpec(1, 20, 5, 5), 0.3)), 32)):
         CASES.append((_k, QuadratureGrid.for_kernel(_k, _n), "PX"))
-    HAND_BUILT = (0, 1, 2, 12, 14)
+    HAND_BUILT = (0, 1, 11, 12, 14)
 
     @staticmethod
     @functools.cache
@@ -388,13 +401,7 @@ class TestSymmetricAndGeneralRoutes:
     @staticmethod
     def _counting(monkeypatch):
         calls = []
-        real = oracle.kernel_matrix
-
-        def counted(k, grid):
-            calls.append(k)
-            return real(k, grid)
-
-        monkeypatch.setattr(oracle, "kernel_matrix", counted)
+        monkeypatch.setattr(oracle, "_assemble", lambda *args, **kwargs: calls.append(args))
         return calls
 
     def test_cases_have_the_intended_cross_block(self):
@@ -402,9 +409,8 @@ class TestSymmetricAndGeneralRoutes:
             d = k.dim
             asym = np.abs(k.q[:d, d:] - k.q[d:, :d]).max()
             assert asym > 1e-3 or asym < 1e-15
-            parity = np.array_equal(grid.nodes, -grid.nodes[::-1])
-            assert (route == "general") == (asym > 1e-3 or not parity)
-            if d == 2 and route != "general":
+            assert (route == "refused") == (asym > 1e-3)
+            if d == 2 and route != "refused":
                 exchange = _exchange_residual(k)
                 assert exchange > 1e-3 or exchange < 1e-15
                 assert (route == "PX") == (exchange < 1e-15)
@@ -420,49 +426,60 @@ class TestSymmetricAndGeneralRoutes:
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_route_blocks(self, case):
         k, grid, route = self.CASES[case]
-        sym = oracle._symmetry_blocks(k, grid)
-        assert (None if sym is None else len(sym[0])) == BLOCKS[route]
-        if sym is not None:
-            blocks, pruned = sym
-            # the blocks hold the kept nodes; the rest are the nodes whose row bound falls below the cut
-            g, cut = oracle._row_bounds(k, *oracle._points(k, grid))
-            dropped = np.count_nonzero(g < cut)
-            m = grid.n_points ** k.dim
-            assert sum(len(b) for b in blocks) + dropped == m
-            # |E|_F <= sqrt(2 m |J|) max_J exp(g), J the dropped nodes
-            bound = math.sqrt(2 * m * dropped) * math.exp(g[g < cut].max()) if dropped else 0.0
-            assert pruned == pytest.approx(bound, rel=1e-12, abs=0)
-            assert all(b.flags.c_contiguous for b in blocks)
+        if route == "refused":
+            with pytest.raises(DomainError, match="asymmetric"):
+                oracle._symmetry_blocks(k, grid)
+            return
+        blocks, pruned = oracle._symmetry_blocks(k, grid)
+        assert len(blocks) == BLOCKS[route]
+        # the blocks hold the kept nodes; the rest are the nodes whose row bound falls below the cut
+        g, cut = oracle._row_bounds(k, *oracle._points(k, grid))
+        dropped = np.count_nonzero(g < cut)
+        m = grid.n_points ** k.dim
+        assert sum(len(b) for b in blocks) + dropped == m
+        # |E|_F <= sqrt(2 m |J|) max_J exp(g), J the dropped nodes
+        bound = math.sqrt(2 * m * dropped) * math.exp(g[g < cut].max()) if dropped else 0.0
+        assert pruned == pytest.approx(bound, rel=1e-12, abs=0)
+        assert all(b.flags.c_contiguous for b in blocks)
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_spectrum_dense_and_top_k(self, case, monkeypatch):
         k, grid, route = self.CASES[case]
-        general = route == "general"
+        if route == "refused":
+            calls = self._counting(monkeypatch)
+            for top_k in (None, 6):
+                with pytest.raises(DomainError, match="asymmetric"):
+                    nystrom_spectrum(k, grid, top_k=top_k, with_error=False)
+            assert calls == []
+            return
         ref, _ = self._reference(case)
         scale = np.abs(ref).max()
-        calls = self._counting(monkeypatch)
         dense = nystrom_spectrum(k, grid, with_error=False)
         top = nystrom_spectrum(k, grid, top_k=6, with_error=False)
-        assert len(calls) == (2 if general else 0)
         assert np.abs(np.sort(dense.eigenvalues) - ref).max() <= 1e-12 * scale
         want = ref[np.argsort(-np.abs(ref))][:6]
         assert np.abs(np.sort(top.eigenvalues[:6]) - np.sort(want)).max() <= 1e-12 * scale
         assert np.all(np.diff(np.abs(dense.eigenvalues)) <= 0)
-        if not general:
-            assert dense.imag_residue == 0.0 and top.imag_residue == 0.0
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_trace_powers(self, case, monkeypatch):
         k, grid, route = self.CASES[case]
         _, ref = self._reference(case)
-        calls = self._counting(monkeypatch)
-        for p in (1, 2, 3):
+        # tr K reads only the diagonal, for any kernel
+        value, _ = trace_power(k, 1, grid, with_error=False)
+        assert abs(value - ref[0]) <= 1e-12 * abs(ref[0])
+        if route == "refused":
+            calls = self._counting(monkeypatch)
+            for p in (2, 3):
+                with pytest.raises(DomainError, match="asymmetric"):
+                    trace_power(k, p, grid, with_error=False)
+            assert calls == []
+            return
+        for p in (2, 3):
             value, _ = trace_power(k, p, grid, with_error=False)
             assert abs(value - ref[p - 1]) <= 1e-12 * abs(ref[p - 1])
-        # tr K reads only the diagonal; p = 2, 3 build the kernel matrix only off the symmetric route
-        assert len(calls) == (2 if route == "general" else 0)
 
-    @pytest.mark.parametrize("case", [i for i, c in enumerate(CASES) if c[2] != "general"])
+    @pytest.mark.parametrize("case", [i for i, c in enumerate(CASES) if c[2] != "refused"])
     def test_row_bound_covers_every_entry(self, case):
         k, grid, _ = self.CASES[case]
         _assert_row_bound(k, grid)
@@ -554,19 +571,17 @@ class TestPruning:
     @pytest.mark.parametrize("k, half_width", [(KERNEL_SIGMA_INDEFINITE, 4.5),
                                                (KERNEL_M_INDEFINITE, 2.0)],
                              ids=["sigma_indefinite", "m_indefinite"])
-    def test_no_pruning_without_a_bound(self, k, half_width, monkeypatch):
+    def test_no_pruning_without_a_bound(self, k, half_width):
         grid = QuadratureGrid.make(32, half_width)
         assert oracle._row_bounds(k, *oracle._points(k, grid)) is None
         blocks, pruned = oracle._symmetry_blocks(k, grid)
         assert sum(len(b) for b in blocks) == grid.n_points ** k.dim and pruned == 0.0
         ev = nystrom_spectrum(k, grid, with_error=False).eigenvalues
-        traces = [trace_power(k, p, grid, with_error=False)[0] for p in (2, 3)]
-        monkeypatch.setattr(oracle, "_symmetry_blocks", lambda *args: None)
-        ref = nystrom_spectrum(k, grid, with_error=False).eigenvalues
-        assert np.abs(np.sort(ev) - np.sort(ref)).max() <= 1e-12 * np.abs(ref).max()
-        for p, value in zip((2, 3), traces):
-            ref = trace_power(k, p, grid, with_error=False)[0]
-            assert abs(value - ref) <= 1e-12 * abs(ref)
+        ref, traces = _reference(k, grid)
+        assert np.abs(np.sort(ev) - ref).max() <= 1e-12 * np.abs(ref).max()
+        for p in (2, 3):
+            value = trace_power(k, p, grid, with_error=False)[0]
+            assert abs(value - traces[p - 1]) <= 1e-12 * abs(traces[p - 1])
 
     def test_error_estimates_add_the_dropped_norm(self, monkeypatch):
         grid = QuadratureGrid.for_kernel(RHO_1D, 40)

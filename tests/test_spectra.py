@@ -194,8 +194,9 @@ class TestEntropies:
     def test_domain(self):
         with pytest.raises(DomainError):
             von_neumann_entropy(1.0)
-        with pytest.raises(DomainError):
-            renyi_entropy(0.5, 0.0)
+        for alpha in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                renyi_entropy(0.5, alpha)
         with pytest.raises(DomainError):
             renyi_entropy(-0.2, 2.0)
 
