@@ -43,8 +43,24 @@ _KNOWN_OBSERVABLES = ("purity", "von_neumann", "mutual_info", "negativity", "tc"
 _CONFIG_KEYS = {"quench", "T_min", "T_max", "T_points", "scale", "observables", "threads"}
 _QUENCH_KEYS = {"k0_i", "k0_f", "j_i", "j_f"}
 
+# what a malformed config raises, caught alike by ``sweep`` and ``validate``
+_CONFIG_ERRORS = (DomainError, ValueError, TypeError)
+
 FIGURE_NAMES = ("fig1a", "fig1b", "fig2a", "fig2b", "fig2c",
                 "fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b")
+
+
+def _number(name: str, value, integer: bool = False):
+    """A config field as a float, or as an int if ``integer``; a ``DomainError`` names the field."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
+    if not integer:
+        return number
+    if not number.is_integer():
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(number)
 
 
 @dataclass(frozen=True)
@@ -72,7 +88,7 @@ class SweepConfig:
         for obs in self.observables:
             if obs in _KNOWN_OBSERVABLES:
                 continue
-            if obs.startswith("renyi:"):
+            if isinstance(obs, str) and obs.startswith("renyi:"):
                 try:
                     alpha = float(obs.split(":", 1)[1])
                 except ValueError:
@@ -102,14 +118,11 @@ class SweepConfig:
         qd = data["quench"]
         if not isinstance(qd, dict) or set(qd) != _QUENCH_KEYS:
             raise DomainError(f"quench must be an object with keys {sorted(_QUENCH_KEYS)}")
-        quench = QuenchSpec(float(qd["k0_i"]), float(qd["k0_f"]), float(qd["j_i"]), float(qd["j_f"]))
-        for key in ("T_points", "threads"):
-            value = data.get(key, 0)
-            if isinstance(value, float) and not value.is_integer():
-                raise DomainError(f"{key} must be an integer, got {value}")
-        return cls(quench=quench, t_min=float(data["T_min"]), t_max=float(data["T_max"]),
-                   t_points=int(data["T_points"]), scale=data.get("scale", "linear"),
-                   observables=tuple(data["observables"]), threads=int(data.get("threads", 0)))
+        quench = QuenchSpec(*(_number(key, qd[key]) for key in ("k0_i", "k0_f", "j_i", "j_f")))
+        return cls(quench=quench, t_min=_number("T_min", data["T_min"]), t_max=_number("T_max", data["T_max"]),
+                   t_points=_number("T_points", data["T_points"], integer=True),
+                   scale=data.get("scale", "linear"), observables=tuple(data["observables"]),
+                   threads=_number("threads", data.get("threads", 0), integer=True))
 
     def to_dict(self) -> dict:
         return {
@@ -197,7 +210,7 @@ def validate_config(path) -> tuple[bool, list[str]]:
         return False, [f"error: {path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"]
     try:
         cfg = SweepConfig.from_dict(data)
-    except (DomainError, ValueError, TypeError) as exc:
+    except _CONFIG_ERRORS as exc:
         return False, [f"error: {exc}"]
     m1, m2 = normal_modes(cfg.quench)
     report.append(f"ok: normal modes omega1 {m1.omega_i:.6g} -> {m1.omega_f:.6g}, "
@@ -344,7 +357,7 @@ def main(argv=None) -> int:
                 with open(args.config, encoding="utf-8") as fh:
                     data = json.load(fh)
                 cfg = SweepConfig.from_dict(data)
-            except (OSError, json.JSONDecodeError, DomainError, ValueError) as exc:
+            except (OSError, *_CONFIG_ERRORS) as exc:  # JSONDecodeError is a ValueError
                 print(f"config error: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
             result = run_sweep(cfg)

@@ -6,11 +6,22 @@ frequency obeys the Ermakov equation
     b'' + omega^2(t) b = omega(0)^2 / b^3,      b(0) = 1,  b'(0) = 0,
 
 in real time, and b'' - omega^2 b = -omega(0)^2 / b^3 after continuation to
-Euclidean time.  For a sudden frequency jump both have elementary solutions,
-used here as test oracles; general schedules (the sinusoidal ramp, tabulated
-data) are integrated adaptively with DOP853, the 8th-order Dormand-Prince
-pair, whose own 7th-order continuous extension answers queries between the
-accepted steps (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6).
+Euclidean time; the phase obeys Gamma' = omega(0) / b^2.  For a sudden
+frequency jump both have elementary solutions, used here as test oracles.
+
+The solvers do not integrate the nonlinear equation, whose omega(0)^2 / b^3
+term makes the step control reject steps; they integrate linear ones and
+read b and Gamma off them (Pinney, Proc. AMS 1, 681 (1950); Lewis &
+Riesenfeld, J. Math. Phys. 10, 1458 (1969)).  In real time z'' + omega^2 z = 0
+with z(0) = 1, z'(0) = i omega(0) gives b = |z| and Gamma = arg z, because
+the Wronskian Im(conj(z) z') = omega(0) is conserved.  In Euclidean time
+u'' = omega_f^2 u and v'' = omega_f^2 v, with (u, u') = (1, 0) and
+(v, v') = (0, 1) at 0, give b^2 = u^2 - omega_i^2 v^2 and
+Gamma_E = artanh(omega_i v / u).  Every schedule (constant, sudden, the
+sinusoidal ramp, tabulated data) is integrated adaptively with DOP853, the
+8th-order Dormand-Prince pair, whose own 7th-order continuous extension
+answers queries between the accepted steps (Hairer, Norsett & Wanner,
+Solving ODEs I, sec. II.6).
 """
 
 from __future__ import annotations
@@ -28,13 +39,21 @@ TOL_MIN, TOL_MAX = 1e-13, 1e-6
 _RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy raises any smaller rtol to this, with a warning
 
 
+# parameter names per schedule kind; the first ``positive`` of them must be > 0
+_PARAMS = {"constant": (("omega",), 1), "sudden": (("omega_i", "omega_f"), 2),
+           "sinusoidal": (("omega_i", "omega_f", "rate"), 1)}
+
+
 @dataclass(frozen=True)
 class FrequencySchedule:
     """Frequency-versus-time protocol omega(t) >= 0 for t >= 0.
 
     ``omega_initial`` is omega(0) entering the Ermakov right-hand side; for a
     sudden schedule the solver-facing ``omega_at`` is right-continuous (the
-    final frequency already applies at t = 0+).
+    final frequency already applies at t = 0+).  Every schedule is checked
+    when it is built, through a classmethod or directly: parameters and
+    table entries must be finite, frequencies positive and table times
+    strictly increasing.  A table is kept as read-only copies.
     """
 
     kind: str
@@ -42,38 +61,52 @@ class FrequencySchedule:
     table_t: np.ndarray | None = field(default=None, repr=False)
     table_w: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if self.kind == "tabulated":
+            t = np.array(self.table_t, dtype=float)
+            w = np.array(self.table_w, dtype=float)
+            if t.ndim != 1 or t.shape != w.shape or t.size < 2:
+                raise DomainError("tabulated schedule needs two equal-length 1-d arrays with >= 2 samples")
+            for name, values in (("t", t), ("omega", w)):
+                if not np.all(np.isfinite(values)):
+                    raise DomainError(f"tabulated schedule {name} values must all be finite")
+            if not np.all(np.diff(t) > 0):
+                raise DomainError("tabulated schedule times must be strictly increasing")
+            if not np.all(w > 0):
+                raise DomainError("tabulated schedule frequencies must all be positive")
+            t.flags.writeable = False
+            w.flags.writeable = False
+            object.__setattr__(self, "table_t", t)
+            object.__setattr__(self, "table_w", w)
+            return
+        if self.kind not in _PARAMS:
+            raise DomainError(f"unknown schedule kind {self.kind!r}")
+        names, positive = _PARAMS[self.kind]
+        if len(self.params) != len(names):
+            raise DomainError(f"a {self.kind} schedule takes the parameters {names}, got {self.params}")
+        for k, (name, value) in enumerate(zip(names, self.params)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+            if k < positive and value <= 0:
+                raise DomainError(f"{name} must be positive, got {value}")
+        object.__setattr__(self, "params", tuple(map(float, self.params)))
+
     @classmethod
     def constant(cls, omega: float) -> "FrequencySchedule":
-        if omega <= 0:
-            raise DomainError(f"omega must be positive, got {omega}")
-        return cls("constant", (float(omega),))
+        return cls("constant", (omega,))
 
     @classmethod
     def sudden(cls, omega_i: float, omega_f: float) -> "FrequencySchedule":
-        if omega_i <= 0 or omega_f <= 0:
-            raise DomainError(f"frequencies must be positive, got ({omega_i}, {omega_f})")
-        return cls("sudden", (float(omega_i), float(omega_f)))
+        return cls("sudden", (omega_i, omega_f))
 
     @classmethod
     def sinusoidal(cls, omega_i: float, omega_f: float, rate: float) -> "FrequencySchedule":
         """omega(t) = omega_i + (omega_f - omega_i) sin(rate * t)."""
-        if omega_i <= 0:
-            raise DomainError(f"omega_i must be positive, got {omega_i}")
-        return cls("sinusoidal", (float(omega_i), float(omega_f), float(rate)))
+        return cls("sinusoidal", (omega_i, omega_f, rate))
 
     @classmethod
     def tabulated(cls, t, omega) -> "FrequencySchedule":
-        t = np.asarray(t, dtype=float)
-        w = np.asarray(omega, dtype=float)
-        if t.ndim != 1 or t.shape != w.shape or t.size < 2:
-            raise DomainError("tabulated schedule needs two equal-length 1-d arrays with >= 2 samples")
-        if not np.all(np.diff(t) > 0):
-            raise DomainError("tabulated schedule times must be strictly increasing")
-        if not np.all(w > 0):
-            raise DomainError("tabulated schedule frequencies must all be positive")
-        t.setflags(write=False)
-        w.setflags(write=False)
-        return cls("tabulated", (), table_t=t, table_w=w)
+        return cls("tabulated", (), table_t=t, table_w=omega)
 
     @classmethod
     def from_csv(cls, path) -> "FrequencySchedule":
@@ -141,10 +174,11 @@ class FrequencySchedule:
 class ErmakovSolution:
     """Accepted integration steps plus the integrator's own dense output.
 
-    ``t, b, db, gamma`` are the accepted DOP853 steps; the phase integral
-    gamma(t) of omega(0)/b^2 is a third ODE state.  ``b_at``, ``db_at`` and
-    ``gamma_at`` evaluate DOP853's 7th-order continuous extension, ``dense``
-    (a scipy ``OdeSolution``), anywhere in [t[0], t[-1]].
+    The integrated equations are linear (see the module docstring).  ``read``
+    maps times and states to (b, b', gamma); ``t, b, db, gamma`` are its
+    values at the accepted DOP853 steps.  ``b_at``, ``db_at`` and
+    ``gamma_at`` apply it to DOP853's 7th-order continuous extension of the
+    state, ``dense`` (a scipy ``OdeSolution``), anywhere in [t[0], t[-1]].
     """
 
     omega0: float
@@ -153,6 +187,7 @@ class ErmakovSolution:
     db: np.ndarray
     gamma: np.ndarray
     dense: object = field(repr=False, compare=False)
+    read: object = field(repr=False, compare=False)
 
     def _eval(self, tq, row: int):
         tq = np.asarray(tq, dtype=float)
@@ -160,7 +195,7 @@ class ErmakovSolution:
             raise DomainError(f"query time outside solution range [{self.t[0]}, {self.t[-1]}]")
         # OdeSolution takes only a scalar or a non-empty 1-d array
         flat = np.clip(tq, self.t[0], self.t[-1]).ravel()
-        out = self.dense(flat)[row] if flat.size else flat
+        out = self.read(flat, self.dense(flat))[row] if flat.size else flat
         return float(out[0]) if tq.ndim == 0 else out.reshape(tq.shape)
 
     def b_at(self, tq):
@@ -173,73 +208,105 @@ class ErmakovSolution:
         return self._eval(tq, 2)
 
 
-def _check_domain(t_end: float, tol: float) -> None:
-    if not t_end > 0:
-        raise DomainError(f"integration endpoint must be positive, got {t_end}")
+def _check_domain(t_end: float, tol: float, name: str) -> None:
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise DomainError(f"{name} must be finite and positive, got {t_end}")
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise DomainError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
 
 
-def _integrate(rhs, t_end, tol, omega0):
-    """DOP853 over [0, t_end] from (b, b', gamma) = (1, 0, 0).
+def _integrate(rhs, t_end, tol, y0):
+    """DOP853 over [0, t_end] from the linear state y0, with dense output.
 
     rtol = atol = tol / 100, with rtol floored at scipy's 100 eps, and no
     step cap: over a few periods the global error in b and gamma then stays
     below tol.  Against the closed forms over three periods of the sudden quench
     1.3 -> 2.7 (2001 dense points) the default tol = 1e-10 gives errors of
-    1.7e-11 in b, 2.2e-10 in b' and 5.2e-11 in gamma in 266 steps;
-    tol = TOL_MIN gives 2.5e-12 in b, near the rounding floor.
+    3.5e-12 in b, 1.1e-11 in b' and 5.5e-12 in gamma in 104 steps;
+    tol = TOL_MIN gives 4.2e-14 in b in 180 steps.
     """
     # imported here, not at module level: scipy costs the CLI, which never
     # integrates, most of its start-up time and memory
     from scipy.integrate import solve_ivp
 
-    sol = solve_ivp(rhs, (0.0, t_end), [1.0, 0.0, 0.0], method="DOP853",
+    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853",
                     rtol=max(tol / 100, _RTOL_FLOOR), atol=tol / 100, dense_output=True)
     if not sol.success:
         raise NumericalFailureError(f"integration failed near t = {sol.t[-1]}: {sol.message}")
-    t, (b, db, gamma) = sol.t, sol.y
-    if np.any(b <= 0):
-        bad = t[np.argmax(b <= 0)]
-        raise NumericalFailureError(f"scale factor became non-positive near t = {bad}")
-    return ErmakovSolution(omega0=omega0, t=t, b=b, db=db, gamma=gamma, dense=sol.sol)
+    return sol
 
 
 def solve_real(schedule: FrequencySchedule, t_max: float, tol: float = 1e-10) -> ErmakovSolution:
-    """Integrate the real-time Ermakov equation over [0, t_max]."""
-    _check_domain(t_max, tol)
+    """Integrate z'' + omega(t)^2 z = 0 over [0, t_max]; b = |z| and Gamma = arg z.
+
+    The phase is lifted at the accepted steps.  Since Gamma' = omega(0) / b^2
+    > 0, each step must advance it by an angle in (0, pi); a step that does
+    not raises ``NumericalFailureError``.  A query is lifted against the
+    accepted step [t_k, t_k+1] that holds it, Gamma(t) = Gamma_k +
+    arg(conj(z_k) z(t)), so it does not depend on the order of the queries.
+    """
+    _check_domain(t_max, tol, "t_max")
     schedule._check_nonnegative(t_max)
     w0 = schedule.omega_initial
-    w0sq = w0 * w0
 
     def rhs(t, y):
-        w = schedule.omega_at(t)
-        b, db, _ = y
-        return [db, w0sq / b**3 - w * w * b, w0 / b**2]
+        w2 = schedule.omega_at(t) ** 2
+        return [y[2], y[3], -w2 * y[0], -w2 * y[1]]
 
-    return _integrate(rhs, t_max, tol, w0)
+    sol = _integrate(rhs, t_max, tol, [1.0, 0.0, 0.0, w0])
+    t = sol.t
+    z = sol.y[0] + 1j * sol.y[1]
+    step = np.angle(np.conj(z[:-1]) * z[1:])
+    bad = ~((step > 0) & (step < math.pi))
+    if bad.any():
+        k = np.argmax(bad)
+        raise NumericalFailureError(f"phase step {step[k]} outside (0, pi) between t = {t[k]} and {t[k + 1]}")
+    gamma = np.concatenate(([0.0], np.cumsum(step)))
+
+    def read(tq, y):
+        zq = y[0] + 1j * y[1]
+        b = np.abs(zq)
+        k = np.clip(np.searchsorted(t, tq, side="right") - 1, 0, len(t) - 2)
+        return b, (y[0] * y[2] + y[1] * y[3]) / b, gamma[k] + np.angle(np.conj(z[k]) * zq)
+
+    return ErmakovSolution(w0, t, *read(t, sol.y), dense=sol.sol, read=read)
 
 
 def solve_euclidean(mode: ModeQuench, beta_max: float, tol: float = 1e-10) -> ErmakovSolution:
-    """Integrate the Euclidean Ermakov equation for a sudden quench.
+    """Integrate u'' = omega_f^2 u and v'' = omega_f^2 v for a sudden quench.
 
-    For a downward quench the scale factor vanishes at a finite beta*; a
-    ``DomainError`` carrying ``beta_star`` is raised if beta_max reaches it.
+    b^2 = u^2 - omega_i^2 v^2 and Gamma_E = artanh(omega_i v / u).  The state
+    is (w, w', v, v') with w = u - omega_i v, the factor of b^2 that vanishes
+    at beta*: integrated directly, it keeps b^2 = w (w + 2 omega_i v) and
+    Gamma_E = log1p(2 omega_i v / w) / 2 accurate near beta*, where u and
+    omega_i v cancel.  For a downward quench a ``DomainError`` carrying
+    ``beta_star`` is raised if beta_max reaches beta*, and a
+    ``NumericalFailureError`` if b^2 is not positive at an accepted step.
     """
-    _check_domain(beta_max, tol)
+    _check_domain(beta_max, tol, "beta_max")
     bs = beta_star(mode)
     if beta_max >= bs * (1 - BETA_STAR_MARGIN):
         raise DomainError(
             f"b^2 vanishes at beta* = {bs} for quench ({mode.omega_i} -> {mode.omega_f}); "
             f"beta_max = {beta_max} is out of domain", beta_star=bs)
-    wi, wf = mode.omega_i, mode.omega_f
-    wi2 = wi * wi
+    wi, wf2 = mode.omega_i, mode.omega_f**2
 
     def rhs(t, y):
-        b, db, _ = y
-        return [db, wf * wf * b - wi2 / b**3, wi / b**2]
+        return [y[1], wf2 * y[0], y[3], wf2 * y[2]]
 
-    return _integrate(rhs, beta_max, tol, wi)
+    def b2(y):
+        return y[0] * (y[0] + 2 * wi * y[2])
+
+    def read(tq, y):
+        w, dw, v, dv = y
+        b = np.sqrt(b2(y))
+        return b, (w * dw + wi * (dw * v + w * dv)) / b, 0.5 * np.log1p(2 * wi * v / w)
+
+    sol = _integrate(rhs, beta_max, tol, [1.0, -wi, 0.0, 1.0])
+    bad = b2(sol.y) <= 0
+    if bad.any():
+        raise NumericalFailureError(f"b^2 became non-positive near beta = {sol.t[np.argmax(bad)]}")
+    return ErmakovSolution(wi, sol.t, *read(sol.t, sol.y), dense=sol.sol, read=read)
 
 
 def sudden_scale_real(omega_i: float, omega_f: float, t):

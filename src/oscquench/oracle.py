@@ -95,8 +95,9 @@ class QuadratureGrid:
 
     A grid holds ``n_points`` exactly antisymmetric nodes and exactly
     symmetric weights, the parity P the oracle's symmetry blocks rely on;
-    any other arrays are refused when the grid is built, so they must not
-    be changed in place afterwards.  The tensor grid uses the same nodes on
+    any other arrays are refused when the grid is built.  The grid keeps
+    read-only copies of them, so the parity cannot be broken in place
+    afterwards.  The tensor grid uses the same nodes on
     both axes, so the exchange x1 <-> x2 maps it onto itself.  ``refined``
     and ``coarsened`` keep L, so the oracle's error estimates bound the
     kernel's mass beyond +-L separately.
@@ -108,6 +109,10 @@ class QuadratureGrid:
     weights: np.ndarray
 
     def __post_init__(self):
+        for name in ("nodes", "weights"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if np.shape(self.nodes) != (self.n_points,) or np.shape(self.weights) != (self.n_points,):
             raise DomainError(f"nodes and weights must each hold n_points = {self.n_points} values")
         if not np.array_equal(self.nodes, -self.nodes[::-1]):
@@ -121,8 +126,7 @@ class QuadratureGrid:
             raise DomainError(f"n_points must be >= {MIN_POINTS}, got {n_points}")
         if half_width <= 0:
             raise DomainError(f"half_width must be positive, got {half_width}")
-        # the rule on [-1, 1] is computed once per n; scaling by L makes fresh
-        # arrays, so a grid never shares memory with the cache
+        # the rule on [-1, 1] is computed once per n; every grid keeps its own copy
         x, w = _legendre_rule(n_points)
         return cls(n_points, float(half_width), x * half_width, w * half_width)
 

@@ -242,7 +242,14 @@ class TestMain:
         ({"observables": ["renyi:inf"]}, "renyi:inf"),
         ({"observables": ["renyi:nan"]}, "renyi:nan"),
         ({"quench": dict(GOOD_CONFIG["quench"], j_f=math.inf)}, "j_f"),
-    ], ids=["T_max_inf", "T_points_fraction", "threads_inf", "renyi_inf", "renyi_nan", "j_f_inf"])
+        # fields that do not parse as numbers
+        ({"quench": dict(GOOD_CONFIG["quench"], k0_i=None)}, "k0_i must be a number, got None"),
+        ({"quench": dict(GOOD_CONFIG["quench"], k0_i="abc")}, "k0_i must be a number, got 'abc'"),
+        ({"T_points": "3.9"}, "T_points must be an integer, got '3.9'"),
+        ({"threads": None}, "threads must be a number, got None"),
+        ({"observables": ["purity", 5]}, "unknown observable 5"),
+    ], ids=["T_max_inf", "T_points_fraction", "threads_inf", "renyi_inf", "renyi_nan", "j_f_inf",
+            "k0_i_null", "k0_i_text", "T_points_text", "threads_null", "observable_number"])
     def test_non_finite_or_fractional_config_refused(self, tmp_path, capsys, change, field):
         path = write_config(tmp_path, dict(GOOD_CONFIG, **change))
         out = tmp_path / "x.csv"

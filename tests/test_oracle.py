@@ -55,13 +55,29 @@ class TestQuadratureGrid:
             x[0] = 0.0
         a, b = QuadratureGrid.make(56, 1.0), QuadratureGrid.make(56, 1.0)
         for grid in (a, b):
-            assert grid.nodes.flags.writeable and grid.weights.flags.writeable
+            assert not grid.nodes.flags.writeable and not grid.weights.flags.writeable
             for arr in (grid.nodes, grid.weights):
                 assert not np.shares_memory(arr, x) and not np.shares_memory(arr, w)
+                with pytest.raises(ValueError):
+                    arr[0] = 99.0
         assert not np.shares_memory(a.nodes, b.nodes)
         assert not np.shares_memory(a.weights, b.weights)
-        a.nodes[0] = 99.0
-        assert b.nodes[0] == x[0] and QuadratureGrid.make(56, 1.0).nodes[0] == x[0]
+        assert np.array_equal(a.nodes, x) and np.array_equal(a.weights, w)
+
+    def test_grid_keeps_its_own_read_only_arrays(self):
+        g = QuadratureGrid.make(40, 5.0)
+        nodes, weights = g.nodes.copy(), g.weights.copy()
+        built = QuadratureGrid(40, 5.0, nodes, weights)
+        nodes += 0.25  # the caller's arrays stay the caller's
+        assert np.array_equal(built.nodes, g.nodes) and not np.shares_memory(built.nodes, nodes)
+        with pytest.raises(ValueError):
+            built.nodes += 0.25
+        # shifting these nodes in place once gave a top eigenvalue of 1.556 where the answer is 0.970
+        grid = QuadratureGrid.for_kernel(RHO_1D, 40)
+        with pytest.raises(ValueError):
+            grid.nodes[:] += 0.25
+        assert np.array_equal(grid.nodes, QuadratureGrid.for_kernel(RHO_1D, 40).nodes)
+        assert nystrom_spectrum(RHO_1D, grid).eigenvalues[0] == pytest.approx(0.970, abs=5e-4)
 
     def test_grid_without_node_parity_refused(self):
         g = QuadratureGrid.make(40, 5.0)
