@@ -6,11 +6,11 @@ whose frequencies jump at t = 0, together with an independent quadrature
 oracle and an adaptive scale-factor ODE solver for general schedules.
 """
 
-from .core import (BETA_FLOOR, ModeQuench, ModeThermo, QuenchSpec, Temperature, Widths,
-                   beta_star, mode_thermo, mode_widths, normal_modes, partition_single,
-                   purity_single)
+from .core import (BETA_FLOOR, ModeQuench, ModeThermo, QuenchSpec, Widths, beta_star,
+                   mode_thermo, mode_widths, normal_modes, partition_single, purity_single)
 from .ermakov import (ErmakovSolution, FrequencySchedule, solve_euclidean, solve_real,
-                      sudden_phase_real, sudden_scale_real)
+                      sudden_phase_euclidean, sudden_phase_real, sudden_scale_euclidean,
+                      sudden_scale_real)
 from .errors import (CausticError, DomainError, NonFactorizableError, NumericalFailureError)
 from .kernels import (Alphas, QuadraticKernel, RealTimeKernelParams, partial_transpose,
                       realtime_kernel_single, reduce_substate, rotate_to_normal_modes,

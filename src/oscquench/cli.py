@@ -5,10 +5,12 @@ convention, config echo) above the CSV header, and every file is written by
 :func:`_csv_text`.  Every curve and sweep column comes from
 :func:`oscquench.observables.observables`, evaluated as arrays over the
 whole temperature grid in one thread; the worker-count setting is accepted
-and ignored, so the bytes cannot depend on it.  A sweep's ``tc`` column
-comes from :func:`oscquench.negativity.critical_temperature_sqm` for every
-spec; the ``tc`` table and fig4b, which start from frequency pairs, use
-:func:`oscquench.negativity.critical_temperature`.
+and ignored, so the bytes cannot depend on it.  T_c has one route,
+:func:`oscquench.negativity.critical_temperature` of a frequency pair: a
+sweep's ``tc`` column applies it to the spec's final pair through
+:func:`oscquench.negativity.critical_temperature_sqm` (0 where a downward
+quench's beta* cut leaves no entangled temperature), and the ``tc`` table and
+fig4b apply it to their pairs directly.
 """
 
 from __future__ import annotations

@@ -1,19 +1,23 @@
-"""Closed-form Euclidean thermodynamics of a suddenly quenched oscillator mode.
+"""Thermal state of a suddenly quenched oscillator mode.
 
 A "sudden quench" changes an oscillator's angular frequency discontinuously
 from ``omega_i`` (at t = 0) to ``omega_f`` (t > 0).  After continuing to
-imaginary time, every thermal quantity of one mode at inverse temperature
-``beta`` is an elementary function of the Euclidean scale factor
+imaginary time, the paper writes the thermal kernel of one mode at inverse
+temperature ``beta`` through the Euclidean scale factor b, the phase
+Gamma_E (closed forms in ``ermakov.sudden_scale_euclidean`` and
+``sudden_phase_euclidean``) and the prefactor exponent
+A = (wf^2 - wi^2) sinh(2 wf beta) / (4 wf b^2).  With this A, omega_i
+cancels exactly: for t > 0 the Hamiltonian is H_f, so the Euclidean
+propagator over beta is exp(-beta H_f).  With x = omega_f beta the
+Gaussian widths of the kernel are
 
-    b^2(beta) = ((wf^2 - wi^2) cosh(2 wf beta) + (wf^2 + wi^2)) / (2 wf^2)
+    a+ = omega_f coth(x / 2),   a- = omega_f tanh(x / 2),   xi = exp(-x),
 
-and the accumulated Euclidean phase
-
-    Gamma_E(beta) = artanh((wi / wf) tanh(wf beta)).
-
-This module evaluates b, Gamma_E, the prefactor-exponent coefficient A, the
-Gaussian widths a+ and a-, the spectral ratio xi, and the purity/partition
-function built from them.  All functions are pure; units are hbar = k_B = 1.
+the kernel is the Mehler kernel of omega_f and Z = 1 / (2 sinh(x / 2)).
+omega_i enters only the domain: for a downward quench the paper's b^2
+vanishes at beta*, and inverse temperatures from beta* (1 - BETA_STAR_MARGIN)
+on are refused, as are those below BETA_FLOOR.  All functions are pure;
+units are hbar = k_B = 1.
 """
 
 from __future__ import annotations
@@ -54,10 +58,6 @@ class QuenchSpec:
         if self.k0_f + 2 * self.j_f <= 0:
             raise DomainError(f"k0_f + 2*j_f = {self.k0_f + 2 * self.j_f} <= 0: second normal mode not real")
 
-    @property
-    def is_constant(self) -> bool:
-        return self.k0_i == self.k0_f and self.j_i == self.j_f
-
 
 @dataclass(frozen=True)
 class ModeQuench:
@@ -70,48 +70,23 @@ class ModeQuench:
         if not (self.omega_i > 0 and self.omega_f > 0):
             raise DomainError(f"frequencies must be positive, got ({self.omega_i}, {self.omega_f})")
 
-    @property
-    def is_constant(self) -> bool:
-        return self.omega_i == self.omega_f
-
-
-@dataclass(frozen=True)
-class Temperature:
-    """Temperature in energy units (k_B = 1)."""
-
-    t: float
-
-    def __post_init__(self):
-        if not self.t > 0:
-            raise DomainError(f"temperature must be positive, got {self.t}")
-
-    @property
-    def beta(self) -> float:
-        return 1.0 / self.t
-
 
 @dataclass(frozen=True)
 class ModeThermo:
-    """Per-mode Euclidean quantities at fixed inverse temperature.
+    """Per-mode widths at fixed inverse temperature.
 
     ``a_plus`` and ``a_minus`` are the symmetric/antisymmetric Gaussian widths
     of the thermal kernel, ``xi`` the geometric ratio of its eigenvalue
-    ladder, and ``eps = sqrt(a_plus * a_minus)`` the eigenfunction scale.
+    ladder, and ``eps = sqrt(a_plus * a_minus) = omega_f`` the eigenfunction
+    scale.
     """
 
     mode: ModeQuench
     beta: float
-    b: float
-    gamma_e: float
-    a_cap: float
     a_plus: float
     a_minus: float
     xi: float
     eps: float
-
-    @property
-    def inv_b(self) -> float:
-        return 1.0 / self.b if math.isfinite(self.b) else 0.0
 
 
 def normal_modes(spec: QuenchSpec) -> tuple[ModeQuench, ModeQuench]:
@@ -160,13 +135,6 @@ def _check_beta(mode: ModeQuench, beta: float) -> None:
         )
 
 
-def _check_widths(a_plus: float, a_minus: float, beta: float) -> None:
-    # a+ > a- > 0 mathematically; the gap ~ exp(-omega_f beta) underflows to
-    # equality at very low temperature, which is accepted
-    if not a_plus >= a_minus > 0:
-        raise DomainError(f"Gaussian widths out of order: a+={a_plus}, a-={a_minus} at beta={beta}")
-
-
 def in_domain(mode: ModeQuench, beta) -> np.ndarray:
     """Elementwise: the inverse temperatures that ``_check_beta`` accepts."""
     beta = np.asarray(beta, dtype=float)
@@ -174,68 +142,31 @@ def in_domain(mode: ModeQuench, beta) -> np.ndarray:
 
 
 class Widths(NamedTuple):
-    """Per-mode Euclidean quantities over an array of inverse temperatures."""
+    """Per-mode Gaussian widths and ladder ratio over an array of inverse temperatures."""
 
-    b: np.ndarray
-    gamma_e: np.ndarray
-    a_cap: np.ndarray
     a_plus: np.ndarray
     a_minus: np.ndarray
     xi: np.ndarray
 
 
 def mode_widths(mode: ModeQuench, beta) -> Widths:
-    """Evaluate the Euclidean quantities of one quenched mode over a beta array.
+    """a+ = omega_f coth(x/2), a- = omega_f tanh(x/2) and xi = exp(-x), x = omega_f beta.
 
-    The formulas are arranged so that nothing overflows for arbitrarily
-    large ``omega_f * beta`` (tanh/sech based ratios); the constant-frequency
-    case short-circuits to b = 1, Gamma_E = omega * beta, A = 0 exactly.
-    Nothing is checked: entries outside the domain (see ``in_domain``) come
-    out as nan or as meaningless numbers.
+    Elementwise over a beta array.  Nothing is checked: entries outside the
+    domain (see ``in_domain``) are evaluated like any other.
     """
-    beta = np.asarray(beta, dtype=float)
-    wi, wf = mode.omega_i, mode.omega_f
-    with np.errstate(all="ignore"):
-        if mode.is_constant:
-            th = np.tanh(wi * beta / 2)
-            return Widths(b=np.ones_like(beta), gamma_e=wi * beta, a_cap=np.zeros_like(beta),
-                          a_plus=wi / th, a_minus=wi * th, xi=np.exp(-wi * beta))
-        x = wf * beta
-        dw2 = wf * wf - wi * wi
-        sw2 = wf * wf + wi * wi
-        sech2x = np.where(2 * x < 710, 1.0 / np.cosh(2 * x), 0.0)
-        den = dw2 + sw2 * sech2x
-        inv_b2 = 2 * wf * wf * sech2x / den
-        b = np.where(inv_b2 > 0, np.sqrt(1.0 / inv_b2), np.inf)
-        inv_b = np.sqrt(inv_b2)
-        # A = dw2 * sinh(2x) / (4 wf b^2), written with bounded factors only
-        a_cap = 0.5 * wf * dw2 * np.tanh(2 * x) / den
-        # Gamma_E = artanh((wi/wf) tanh x); the log form keeps the argument
-        # of atanh away from 1 when wi ~ wf and x is large
-        t = np.tanh(x)
-        num_m = np.where(x < 350, (wf - wi) + 2 * wi / (np.exp(2 * x) + 1), wf - wi)
-        gamma = 0.5 * np.log((wf + wi * t) / num_m)
-        sh, ch = np.sinh(gamma), np.cosh(gamma)
-        common = a_cap + wi / (2 * sh) * (1 + inv_b2) * ch
-        gap = wi * inv_b / sh
-        a_plus = common + gap
-        a_minus = common - gap
-        xi = 2 * gap / (np.sqrt(a_plus) + np.sqrt(a_minus)) ** 2
-    return Widths(b=b, gamma_e=gamma, a_cap=a_cap, a_plus=a_plus, a_minus=a_minus, xi=xi)
+    wf = mode.omega_f
+    x = wf * np.asarray(beta, dtype=float)
+    th = np.tanh(x / 2)
+    return Widths(a_plus=wf / th, a_minus=wf * th, xi=np.exp(-x))
 
 
 def mode_thermo(mode: ModeQuench, beta: float) -> ModeThermo:
-    """Evaluate all Euclidean quantities of one quenched mode at ``beta``.
-
-    Scalar, checked form of ``mode_widths``: raises ``DomainError`` outside
-    the domain or if the widths come out of order.
-    """
+    """Scalar, checked form of ``mode_widths``: raises ``DomainError`` outside the domain."""
     _check_beta(mode, beta)
-    w = Widths(*(float(v) for v in mode_widths(mode, beta)))
-    _check_widths(w.a_plus, w.a_minus, beta)
-    eps = mode.omega_i if mode.is_constant else math.sqrt(w.a_plus * w.a_minus)
-    return ModeThermo(mode=mode, beta=beta, b=w.b, gamma_e=w.gamma_e, a_cap=w.a_cap,
-                      a_plus=w.a_plus, a_minus=w.a_minus, xi=w.xi, eps=eps)
+    w = mode_widths(mode, beta)
+    return ModeThermo(mode=mode, beta=beta, a_plus=float(w.a_plus), a_minus=float(w.a_minus),
+                      xi=float(w.xi), eps=mode.omega_f)
 
 
 def purity_single(mt):
@@ -247,12 +178,9 @@ def purity_single(mt):
 
 
 def partition_single(mt: ModeThermo) -> float:
-    """Partition function of the one-mode thermal kernel.
+    """Partition function 1 / (2 sinh(x/2)) of the one-mode thermal kernel, x = omega_f beta.
 
-    Z = sqrt(wi / (2 pi b sinh Gamma_E)) * sqrt(pi / a-); reduces to
-    1 / (2 sinh(omega beta / 2)) at constant frequency.
+    Written as exp(-x/2) / (1 - exp(-x)), which does not overflow at large x.
     """
-    sh = math.sinh(mt.gamma_e)
-    if sh == 0:
-        raise DomainError("sinh Gamma_E = 0 (beta = 0): partition function undefined")
-    return math.sqrt(mt.mode.omega_i * mt.inv_b / (2 * sh * mt.a_minus))
+    x = mt.mode.omega_f * mt.beta
+    return math.exp(-x / 2) / -math.expm1(-x)

@@ -9,7 +9,6 @@ names available as accessor views.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -101,33 +100,20 @@ class QuadraticKernel:
         perm = list(range(d, 2 * d)) + list(range(d))
         return QuadraticKernel(self.dim, self.norm, self.q[np.ix_(perm, perm)])
 
-    def to_json(self) -> str:
-        return json.dumps({"dim": self.dim, "norm": self.norm, "Q": self.q.ravel().tolist()})
 
-    @classmethod
-    def from_json(cls, text: str) -> "QuadraticKernel":
-        data = json.loads(text)
-        n = 2 * data["dim"]
-        return cls(data["dim"], data["norm"], np.array(data["Q"], dtype=float).reshape(n, n))
+def _mode_q1(mt: ModeThermo) -> tuple[float, float]:
+    """(q, g) of one mode's kernel exponent q x'^2 - 2 g x' x + q x^2.
 
-
-def _coth(x: float) -> float:
-    return 1.0 / math.tanh(x)
-
-
-def _mode_q1(mt: ModeThermo) -> tuple[float, float, float]:
-    """(q_out, q_in, g) of one mode's Euclidean kernel exponent."""
-    q_in = mt.mode.omega_i * _coth(mt.gamma_e) / 2
-    q_out = (mt.a_plus + mt.a_minus) / 2 - q_in
-    g = (mt.a_plus - mt.a_minus) / 4
-    return q_out, q_in, g
+    This is the Mehler kernel of omega_f: q = omega_f coth(x) / 2 and
+    g = omega_f / (2 sinh x), x = omega_f beta.
+    """
+    return (mt.a_plus + mt.a_minus) / 4, (mt.a_plus - mt.a_minus) / 4
 
 
 def thermal_rho_single(mt: ModeThermo) -> QuadraticKernel:
     """Normalised one-mode thermal density kernel rho[x', x]."""
-    q_out, q_in, g = _mode_q1(mt)
-    q = np.array([[q_out, -g], [-g, q_in]])
-    return QuadraticKernel(1, math.sqrt(mt.a_minus / math.pi), q)
+    q, g = _mode_q1(mt)
+    return QuadraticKernel(1, math.sqrt(mt.a_minus / math.pi), np.array([[q, -g], [-g, q]]))
 
 
 def thermal_rho_coupled(mt1: ModeThermo, mt2: ModeThermo) -> QuadraticKernel:
@@ -141,9 +127,8 @@ def thermal_rho_coupled(mt1: ModeThermo, mt2: ModeThermo) -> QuadraticKernel:
         raise DomainError(f"modes at different temperatures: beta {mt1.beta} != {mt2.beta}")
     qy = np.zeros((4, 4))
     for slot, mt in ((0, mt1), (1, mt2)):
-        q_out, q_in, g = _mode_q1(mt)
-        qy[slot, slot] = q_out
-        qy[slot + 2, slot + 2] = q_in
+        q, g = _mode_q1(mt)
+        qy[slot, slot] = qy[slot + 2, slot + 2] = q
         qy[slot, slot + 2] = qy[slot + 2, slot] = -g
     rot = np.zeros((4, 4))
     rot[:2, :2] = ROT_NORMAL

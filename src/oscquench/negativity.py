@@ -1,14 +1,15 @@
 """Partial-transpose spectrum, negativity, separability boundary and T_c.
 
-The partial transpose of the two-mode thermal state factorises, at constant
-frequencies and after a sudden quench alike, into geometric ladders with
-ratios zeta1 = r(a+_2, a-_1) and zeta2 = r(a+_1, a-_2), where
-r(p, m) = (sqrt p - sqrt m) / (sqrt p + sqrt m); a negative ratio signals
-entanglement (the covariance-matrix PPT criterion, Simon, PRL 84, 2726
-(2000)).  :mod:`oscquench.observables` evaluates these ratios over whole
-temperature grids.  ``critical_temperature_sqm`` gives T_c of any spec,
-constant or quenched; ``critical_temperature`` takes bare frequency pairs
-and also gives the coth approximation.  The trace-moment route kept here (``pt_moments``:
+The partial transpose of the two-mode thermal state factorises into
+geometric ladders with ratios zeta1 = r(a+_2, a-_1) and zeta2 = r(a+_1, a-_2),
+where r(p, m) = (sqrt p - sqrt m) / (sqrt p + sqrt m); a negative ratio
+signals entanglement (the covariance-matrix PPT criterion, Simon, PRL 84,
+2726 (2000)).  :mod:`oscquench.observables` evaluates these ratios over
+whole temperature grids.  A quenched state is the thermal state of the
+final frequencies (see :mod:`oscquench.core`), so T_c has one route:
+``critical_temperature`` takes frequency pairs and also gives the coth
+approximation, and ``critical_temperature_sqm`` applies it to a spec's
+final pair, cut at beta* for a downward quench.  The trace-moment route kept here (``pt_moments``:
 tr sigma^2 and tr sigma^3 of the transposed kernel determine zeta1, zeta2)
 shares no formula with it and serves as an independent cross-check; its
 error grows like ~1e-14 / |zeta1 zeta2| near the separability boundary.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BETA_STAR_MARGIN, QuenchSpec, _scalar_or_array, beta_star, mode_thermo,
-                   mode_widths, normal_modes)
+                   normal_modes)
 from .errors import DomainError, NumericalFailureError
 from .kernels import QuadraticKernel, partial_transpose, thermal_rho_coupled
 
@@ -173,10 +174,6 @@ def check_separable(omega1, omega2, beta):
 _SCAN = np.linspace(0.0, 1.0, 33)
 _MAX_PASSES = 64
 
-# The quench T_c scan spans these multiples of the spec's lowest and highest
-# mode frequency.
-_TC_WINDOW = (1e-4, 1e4)
-
 
 def _last_crossing(f, lo, hi):
     """Highest x in [lo, hi] where f falls from > 0 to <= 0, per element of lo, hi.
@@ -252,8 +249,8 @@ def critical_temperature(omega1, omega2) -> CriticalTemp:
     g^{-1} refined to the spacing of doubles.  Approximate (g ~ coth):
     T_c = omega_min / ln((omega_max + omega_min) / (omega_max - omega_min)).
     Equal frequencies are never entangled, so T_c = 0.  Frequency arrays
-    give arrays of T_c, elementwise.  For a ``QuenchSpec``, constant or
-    not, use :func:`critical_temperature_sqm`.
+    give arrays of T_c, elementwise.  For a ``QuenchSpec`` use
+    :func:`critical_temperature_sqm`, which applies this to the final pair.
 
     tc_approx is an upper bound on tc_exact: with r = omega_max / omega_min,
     x_e = omega_min / (2 tc_exact) solves coth x_e = r tanh(r x_e) < r =
@@ -273,36 +270,16 @@ def critical_temperature(omega1, omega2) -> CriticalTemp:
 
 
 def critical_temperature_sqm(spec: QuenchSpec) -> float:
-    """Highest temperature at which the quench's negativity vanishes.
+    """Temperature above which the quench's state is separable; 0 if it is at every admitted one.
 
-    The state is entangled exactly where max(a-_1 / a+_2, a-_2 / a+_1) > 1,
-    i.e. where zeta1 or zeta2 is negative; ``mode_widths`` takes constant
-    frequencies exactly, so this serves constant specs too.  That ratio
-    depends on T only through omega / T, so the scan runs over log T in the
-    spec's own frequency units: from T = 1e4 omega_max down to
-    1e-4 omega_min, over the initial and final frequencies of both modes,
-    or down to the lowest temperature a downward quench admits
-    (beta < beta* (1 - BETA_STAR_MARGIN)).  Scaling every spring constant
-    and coupling by s^2 thus scales T_c by s, to rounding.
-    The highest root is refined to the spacing of doubles in log T; a lower
-    crossing, if the state were entangled again further down, is not
-    reported.  Returns 0.0 if the state is separable at every scanned
-    temperature; raises ``NumericalFailureError`` if it is still entangled
-    at the top of the window.
+    The state at inverse temperature beta is exp(-beta H_f) / Z (see
+    :mod:`oscquench.core`), so T_c is that of the final frequency pair,
+    ``critical_temperature(omega1_f, omega2_f).tc_exact``.  A downward quench
+    admits only beta < beta* (1 - BETA_STAR_MARGIN); if 1 / T_c lies at or
+    beyond that cut, the state is separable at every admitted temperature
+    and 0.0 is returned.
     """
     m1, m2 = normal_modes(spec)
-    omegas = (m1.omega_i, m1.omega_f, m2.omega_i, m2.omega_f)
-
-    def margin(log_t):
-        beta = np.exp(-log_t)
-        w1, w2 = mode_widths(m1, beta), mode_widths(m2, beta)
-        return np.maximum(w1.a_minus / w2.a_plus, w2.a_minus / w1.a_plus) - 1.0
-
-    t_ceil = _TC_WINDOW[1] * max(omegas)
-    hi = math.log(t_ceil)
-    if margin(hi) > 0:
-        raise NumericalFailureError(f"state still entangled at T = {t_ceil:.6g}")
+    tc = critical_temperature(m1.omega_f, m2.omega_f).tc_exact
     beta_cut = min(beta_star(m1), beta_star(m2)) * (1 - BETA_STAR_MARGIN)
-    lo = max(math.log(_TC_WINDOW[0] * min(omegas)), -math.log(beta_cut))
-    root = _last_crossing(margin, lo, hi)
-    return 0.0 if math.isnan(root) else math.exp(root)
+    return tc if tc > 0 and 1 / tc < beta_cut else 0.0

@@ -17,7 +17,6 @@ over a whole temperature grid at once.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -217,14 +216,6 @@ class EntropyReport:
     zeta: float | None = None
     s_sub: float | None = None
     mutual: float | None = None
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "xi1": self.xi1, "xi2": self.xi2,
-            "S_von": self.s_von,
-            "S_renyi": {str(self.alpha): self.s_renyi},
-            "zeta": self.zeta, "I": self.mutual,
-        })
 
 
 def entropies(xi1: float, xi2: float, alpha: float = 2.0) -> EntropyReport:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oscquench import (BETA_FLOOR, DomainError, ModeQuench, QuenchSpec, Temperature,
-                       beta_star, mode_thermo, normal_modes, partition_single, purity_single)
+from oscquench import (BETA_FLOOR, DomainError, ModeQuench, QuenchSpec, beta_star, mode_thermo,
+                       normal_modes, partition_single, purity_single, sudden_phase_euclidean,
+                       sudden_scale_euclidean)
 from conftest import random_valid_quench
 
 
@@ -31,21 +32,28 @@ class TestNormalModes:
             QuenchSpec(-1, 1, 0, 0)
 
 
+def _prefactor_exponent(wi, wf, beta):
+    """The paper's A = (wf^2 - wi^2) sinh(2 wf beta) / (4 wf b^2)."""
+    b = sudden_scale_euclidean(wi, wf, beta)
+    return (wf**2 - wi**2) * np.sinh(2 * wf * beta) / (4 * wf * b**2)
+
+
 class TestModeThermo:
     def test_sqm_values(self):
-        # frozen from 50-digit evaluation cross-checked by Euclidean ODE integration
+        # frozen from 50-digit evaluation cross-checked by Euclidean ODE integration;
+        # b, Gamma_E and A are the paper's closed forms, a+- those of mode_thermo
+        assert sudden_scale_euclidean(3, 5, 0.5) == pytest.approx(4.94238642034, abs=1e-9)
+        assert sudden_phase_euclidean(3, 5, 0.5) == pytest.approx(0.680691222685, abs=1e-9)
+        assert _prefactor_exponent(3, 5, 0.5) == pytest.approx(2.43018473228, abs=1e-9)
         mt = mode_thermo(ModeQuench(3, 5), 0.5)
-        assert mt.b == pytest.approx(4.94238642034, abs=1e-9)
-        assert mt.gamma_e == pytest.approx(0.680691222685, abs=1e-9)
-        assert mt.a_cap == pytest.approx(2.43018473228, abs=1e-9)
         assert mt.a_plus == pytest.approx(5.89425489834, abs=1e-9)
         assert mt.a_minus == pytest.approx(4.24141819979, abs=1e-9)
 
     def test_constant_frequency(self):
         mt = mode_thermo(ModeQuench(2, 2), 1.0)
-        assert mt.b == 1.0
-        assert mt.gamma_e == 2.0
-        assert mt.a_cap == 0.0
+        assert sudden_scale_euclidean(2, 2, 1.0) == 1.0
+        assert sudden_phase_euclidean(2, 2, 1.0) == 2.0
+        assert _prefactor_exponent(2, 2, 1.0) == 0.0
         assert mt.a_plus == pytest.approx(2 / math.tanh(1), rel=1e-14)
         assert mt.a_minus == pytest.approx(2 * math.tanh(1), rel=1e-14)
         assert mt.xi == pytest.approx(math.exp(-2), rel=1e-14)
@@ -53,15 +61,13 @@ class TestModeThermo:
 
     def test_constant_reduction_large_argument(self):
         # b = 1, Gamma = omega beta, A = 0 at machine precision up to omega beta = 300
-        mt = mode_thermo(ModeQuench(2, 2), 150.0)
-        assert mt.b == 1.0 and mt.a_cap == 0.0
-        assert mt.gamma_e == 300.0
+        assert sudden_scale_euclidean(2, 2, 150.0) == 1.0 and _prefactor_exponent(2, 2, 150.0) == 0.0
+        assert sudden_phase_euclidean(2, 2, 150.0) == 300.0
 
     def test_high_temperature_limits(self):
-        mt = mode_thermo(ModeQuench(3, 5), 1e-6)
-        assert mt.b == pytest.approx(1.0, abs=1e-10)
-        assert mt.gamma_e == pytest.approx(0.0, abs=1e-5)
-        assert mt.a_cap == pytest.approx(0.0, abs=1e-4)
+        assert sudden_scale_euclidean(3, 5, 1e-6) == pytest.approx(1.0, abs=1e-10)
+        assert sudden_phase_euclidean(3, 5, 1e-6) == pytest.approx(0.0, abs=1e-5)
+        assert _prefactor_exponent(3, 5, 1e-6) == pytest.approx(0.0, abs=1e-4)
 
     def test_invariants_random(self, rng):
         for _ in range(200):
@@ -80,7 +86,7 @@ class TestModeThermo:
 
     def test_scale_factor_above_one_for_upward(self):
         for beta in (0.1, 0.5, 2.0):
-            assert mode_thermo(ModeQuench(3, 5), beta).b >= 1.0
+            assert sudden_scale_euclidean(3, 5, beta) >= 1.0
 
     def test_deterministic(self):
         a = mode_thermo(ModeQuench(3, 5), 0.7)
@@ -153,11 +159,3 @@ class TestPartitionSingle:
         z = partition_single(mode_thermo(ModeQuench(3, 5), 0.5))
         assert z == pytest.approx(0.312125628659, abs=1e-10)
 
-
-class TestTemperature:
-    def test_beta(self):
-        assert Temperature(4.0).beta == 0.25
-
-    def test_positive(self):
-        with pytest.raises(DomainError):
-            Temperature(0.0)

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from oscquench import (DomainError, FrequencySchedule, ModeQuench, mode_thermo,
-                       solve_euclidean, solve_real, sudden_phase_real, sudden_scale_real)
+from oscquench import (DomainError, FrequencySchedule, ModeQuench, solve_euclidean, solve_real,
+                       sudden_phase_euclidean, sudden_phase_real, sudden_scale_euclidean,
+                       sudden_scale_real)
 from oscquench.ermakov import TOL_MIN, _check_domain
 
 
@@ -157,7 +158,7 @@ class TestDenseOutput:
         ts = np.linspace(0.0, self.T, 2001)
         b, _, _ = self.closed_forms(ts)
         assert np.abs(sol.b_at(ts) - b).max() < 2e-13
-        assert sol_e.b_at(1.0) == pytest.approx(mode_thermo(ModeQuench(self.WI, self.WF), 1.0).b, rel=1e-12)
+        assert sol_e.b_at(1.0) == pytest.approx(sudden_scale_euclidean(self.WI, self.WF, 1.0), rel=1e-12)
 
 
 class TestSolveEuclidean:
@@ -166,7 +167,7 @@ class TestSolveEuclidean:
         sol = solve_euclidean(mode, 2.0, tol=1e-11)
         assert sol.b_at(0.5) == pytest.approx(4.94238642034, abs=1e-8)
         betas = np.linspace(1e-6, 2.0, 800)
-        closed = np.array([mode_thermo(mode, b).b if b > 1e-7 else 1.0 for b in betas])
+        closed = sudden_scale_euclidean(3.0, 5.0, betas)
         rel = np.abs((sol.b_at(betas) - closed) / np.maximum(1.0, closed))
         assert rel.max() < 1e-8
 
@@ -183,7 +184,7 @@ class TestSolveEuclidean:
         # but integrating inside the domain matches the closed form
         sol = solve_euclidean(mode, bs * 0.98, tol=1e-11)
         betas = np.linspace(0.01, bs * 0.98, 300)
-        closed = np.array([mode_thermo(mode, b).b for b in betas])
+        closed = sudden_scale_euclidean(5.0, 3.0, betas)
         assert np.abs(sol.b_at(betas) - closed).max() < 1e-8
 
     # (omega_i, omega_f, beta_max / beta*, bounds on the relative error in b and
@@ -260,6 +261,45 @@ class TestGammaPhase:
     def test_euclidean_gamma(self):
         sol = solve_euclidean(ModeQuench(3.0, 5.0), 1.0, tol=1e-11)
         assert sol.gamma_at(0.5) == pytest.approx(0.680691222685, abs=1e-8)
+
+
+class TestClosedForms:
+    """The sudden-quench closed forms against mpmath."""
+
+    def test_real_scale_keeps_its_accuracy_at_a_tiny_frequency_ratio(self):
+        # b dips to r = omega_i / omega_f = 5e-7 twice a period; the form
+        # ((wf^2 - wi^2) cos 2 theta + wf^2 + wi^2) / (2 wf^2) cancelled there
+        mp = pytest.importorskip("mpmath")
+        wi, wf = 1e-6, 2.0  # theta = 2 t is exact in floating point
+        ts = np.concatenate([np.linspace(0.0, 8 * math.pi, 4001), (np.arange(16) + 0.5) * math.pi / 2])
+        with mp.workdps(40):
+            r = mp.mpf(wi) / wf
+            ref = [mp.sqrt(mp.cos(2 * mp.mpf(t)) ** 2 + r**2 * mp.sin(2 * mp.mpf(t)) ** 2) for t in ts]
+            rel = max(abs(float(b / rb - 1)) for b, rb in zip(sudden_scale_real(wi, wf, ts), ref))
+        assert rel < 1e-14
+
+    @pytest.mark.parametrize("wi, wf", [(3.0, 5.0), (1.0, math.sqrt(20.0)), (5.0, 2.0), (5.0, 3.0),
+                                        (2.0, 2.0)])
+    def test_euclidean_forms_against_mpmath(self, wi, wf):
+        mp = pytest.importorskip("mpmath")
+        bs = math.inf if wf >= wi else math.acosh((wi**2 + wf**2) / (wi**2 - wf**2)) / (2 * wf)
+        betas = [b for b in (1e-8, 1e-6, 1e-3, 1.0) if b < bs]
+        near = [bs * (1 - 1e-6)] if bs < math.inf else []
+        for beta in betas + near:
+            with mp.workdps(60):
+                x = mp.mpf(wf) * mp.mpf(beta)
+                r = mp.mpf(wi) / mp.mpf(wf)
+                b_ref = mp.sqrt(mp.cosh(x) ** 2 - r**2 * mp.sinh(x) ** 2)
+                g_ref = x if wi == wf else mp.atanh(r * mp.tanh(x))
+                b_err = abs(float(sudden_scale_euclidean(wi, wf, beta) / b_ref - 1))
+                g_err = abs(float(sudden_phase_euclidean(wi, wf, beta) / g_ref - 1))
+            # at beta* (1 - 1e-6) b^2 ~ 1e-6, so the rounding of x = omega_f beta
+            # alone moves b and Gamma_E by ~1e-10 relative
+            bound = 1e-9 if beta in near else 2e-15
+            assert max(b_err, g_err) < bound, (beta, b_err, g_err)
+        b = sudden_scale_euclidean(wi, wf, np.array(betas))
+        # the continuation t = -i beta of the real-time form
+        np.testing.assert_allclose(sudden_scale_real(wi, wf, -1j * np.array(betas)).real, b, rtol=1e-13)
 
 
 class TestSchedules:

@@ -7,8 +7,8 @@ import pytest
 from oscquench import (CausticError, DomainError, ModeQuench, QuadraticKernel,
                        QuenchSpec, RealTimeKernelParams, mode_thermo,
                        normal_modes, partial_transpose, partition_single,
-                       realtime_kernel_single, reduce_substate, thermal_rho_coupled,
-                       thermal_rho_single)
+                       realtime_kernel_single, reduce_substate, sudden_phase_euclidean,
+                       sudden_scale_euclidean, thermal_rho_coupled, thermal_rho_single)
 from oscquench.oracle import QuadratureGrid, trace_power
 from conftest import random_valid_quench
 
@@ -22,12 +22,6 @@ class TestQuadraticKernel:
     def test_symmetry_enforced(self):
         with pytest.raises(DomainError):
             QuadraticKernel(1, 1.0, np.array([[1.0, 0.5], [0.2, 1.0]]))
-
-    def test_json_roundtrip(self):
-        k = thermal_rho_single(mode_thermo(ModeQuench(3, 5), 0.5))
-        k2 = QuadraticKernel.from_json(k.to_json())
-        assert k2.dim == k.dim and k2.norm == k.norm
-        assert np.array_equal(k2.q, k.q)
 
     def test_swap_identity(self, rho_36):
         al = rho_36.alphas()
@@ -92,28 +86,36 @@ class TestThermalCoupled:
 
     def test_alpha_coefficient_formulas(self, quench_36):
         # alphas from the Q rotation equal the per-mode sums written in
-        # terms of A_j, b_j, Gamma_j
+        # terms of the paper's A_j, b_j, Gamma_j
         beta = 1.0
         m1, m2 = normal_modes(quench_36)
-        mt1, mt2 = mode_thermo(m1, beta), mode_thermo(m2, beta)
         al = coupled_state(quench_36, beta).alphas()
 
-        def t1(mt):
-            return mt.a_cap / 2 + mt.mode.omega_i * math.cosh(mt.gamma_e) / (
-                4 * mt.b**2 * math.sinh(mt.gamma_e))
+        def paper(mode):
+            wi, wf = mode.omega_i, mode.omega_f
+            b = sudden_scale_euclidean(wi, wf, beta)
+            gamma = sudden_phase_euclidean(wi, wf, beta)
+            a_cap = (wf**2 - wi**2) * math.sinh(2 * wf * beta) / (4 * wf * b**2)
+            return wi, b, gamma, a_cap
 
-        def t2(mt):
-            return mt.mode.omega_i * math.cosh(mt.gamma_e) / (4 * math.sinh(mt.gamma_e))
+        def t1(mode):
+            wi, b, gamma, a_cap = paper(mode)
+            return a_cap / 2 + wi * math.cosh(gamma) / (4 * b**2 * math.sinh(gamma))
 
-        def t3(mt):
-            return mt.mode.omega_i / (4 * mt.b * math.sinh(mt.gamma_e))
+        def t2(mode):
+            wi, _, gamma, _ = paper(mode)
+            return wi * math.cosh(gamma) / (4 * math.sinh(gamma))
 
-        assert al.a1 == pytest.approx(t1(mt1) + t1(mt2), rel=1e-12)
-        assert al.a2 == pytest.approx(t2(mt1) + t2(mt2), rel=1e-12)
-        assert al.a3 == pytest.approx(-t1(mt1) + t1(mt2), rel=1e-9)
-        assert al.a4 == pytest.approx(-t2(mt1) + t2(mt2), rel=1e-9)
-        assert al.a5 == pytest.approx(t3(mt1) + t3(mt2), rel=1e-12)
-        assert al.a6 == pytest.approx(t3(mt1) - t3(mt2), rel=1e-12)
+        def t3(mode):
+            wi, b, gamma, _ = paper(mode)
+            return wi / (4 * b * math.sinh(gamma))
+
+        assert al.a1 == pytest.approx(t1(m1) + t1(m2), rel=1e-12)
+        assert al.a2 == pytest.approx(t2(m1) + t2(m2), rel=1e-12)
+        assert al.a3 == pytest.approx(-t1(m1) + t1(m2), rel=1e-9)
+        assert al.a4 == pytest.approx(-t2(m1) + t2(m2), rel=1e-9)
+        assert al.a5 == pytest.approx(t3(m1) + t3(m2), rel=1e-12)
+        assert al.a6 == pytest.approx(t3(m1) - t3(m2), rel=1e-12)
 
     def test_mismatched_beta_rejected(self):
         m1, m2 = normal_modes(QuenchSpec(1, 1, 1, 1))

@@ -81,20 +81,26 @@ def test_ratios_match_kernel_routes(kind, seed):
                 oq.negativity(mom.zeta1, mom.zeta2), abs=1e-11)
 
 
+def _mp_widths(mp, wi, wf, beta):
+    """(a+, a-) of one mode in mpmath, by the paper's route through b, Gamma_E and A."""
+    wi, wf, beta = mp.mpf(wi), mp.mpf(wf), mp.mpf(beta)
+    b2 = ((wf**2 - wi**2) * mp.cosh(2 * wf * beta) + wf**2 + wi**2) / (2 * wf**2)
+    gamma = wf * beta if wi == wf else mp.atanh(wi / wf * mp.tanh(wf * beta))
+    a_cap = (wf**2 - wi**2) * mp.sinh(2 * wf * beta) / (4 * wf * b2)
+    q = a_cap + wi * mp.cosh(gamma) / (2 * mp.sinh(gamma)) * (1 + 1 / b2)
+    g = wi / (mp.sqrt(b2) * mp.sinh(gamma))
+    return q + g, q - g
+
+
+def _mp_modes(mp, spec):
+    k0_i, k0_f, j_i, j_f = (mp.mpf(v) for v in spec)
+    return [(mp.sqrt(wi2), mp.sqrt(wf2)) for wi2, wf2 in ((k0_i, k0_f), (k0_i + 2 * j_i, k0_f + 2 * j_f))]
+
+
 def _mp_log_margin(mp, spec, log_t):
     """log max(a-_1 / a+_2, a-_2 / a+_1) in mpmath, written from the closed forms."""
     beta = mp.exp(-log_t)
-    k0_i, k0_f, j_i, j_f = (mp.mpf(v) for v in spec)
-    widths = []
-    for wi2, wf2 in ((k0_i, k0_f), (k0_i + 2 * j_i, k0_f + 2 * j_f)):
-        wi, wf = mp.sqrt(wi2), mp.sqrt(wf2)
-        b2 = ((wf**2 - wi**2) * mp.cosh(2 * wf * beta) + wf**2 + wi**2) / (2 * wf**2)
-        gamma = wf * beta if wi == wf else mp.atanh(wi / wf * mp.tanh(wf * beta))
-        a_cap = (wf**2 - wi**2) * mp.sinh(2 * wf * beta) / (4 * wf * b2)
-        q = a_cap + wi * mp.cosh(gamma) / (2 * mp.sinh(gamma)) * (1 + 1 / b2)
-        g = wi / (mp.sqrt(b2) * mp.sinh(gamma))
-        widths.append((q + g, q - g))
-    (ap1, am1), (ap2, am2) = widths
+    (ap1, am1), (ap2, am2) = (_mp_widths(mp, wi, wf, beta) for wi, wf in _mp_modes(mp, spec))
     return mp.log(max(am1 / ap2, am2 / ap1))
 
 
@@ -145,6 +151,77 @@ def test_critical_temperature_sqm_matches_constant_route_on_fig4b_grid():
     exact = oq.critical_temperature(np.ones_like(js), np.sqrt(1 + 2 * js)).tc_exact
     quench = [oq.critical_temperature_sqm(oq.QuenchSpec(1.0, 1.0, j, j)) for j in js]
     np.testing.assert_allclose(quench, exact, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(kind=st.sampled_from(["up", "down", "const", "negJ"]), rng=st.randoms(use_true_random=False),
+       u=st.floats(0.0, 1.0))
+def test_quenched_state_is_the_thermal_state_of_the_final_frequencies(kind, rng, u):
+    # the paper's b, Gamma_E and A give a+- = omega_f coth(x/2), omega_f tanh(x/2): omega_i cancels
+    mp = pytest.importorskip("mpmath")
+    spec = _draw_spec(rng, kind)
+    modes = oq.normal_modes(spec)
+    cut = min(oq.beta_star(m) for m in modes) * (1 - 1e-6)
+    beta = math.exp(math.log(2e-8) + u * (math.log(min(cut, 20.0)) - math.log(2e-8)))
+    with mp.workdps(60):
+        for mode in modes:
+            w = oq.mode_widths(mode, beta)
+            ap, am = _mp_widths(mp, mode.omega_i, mode.omega_f, beta)
+            assert (float(w.a_plus), float(w.a_minus)) == pytest.approx((float(ap), float(am)),
+                                                                         rel=1e-13, abs=0)
+
+    final = oq.QuenchSpec(spec.k0_f, spec.k0_f, spec.j_f, spec.j_f)
+    names = ["purity", "von_neumann", "renyi:2", "mutual_info", "negativity"]
+    got, flags = oq.observables(spec, [1 / beta], names)
+    expected, _ = oq.observables(final, [1 / beta], names)
+    assert not any(flags)
+    for name in names:
+        np.testing.assert_array_equal(got[name], expected[name], err_msg=name)
+
+    tc = oq.critical_temperature(modes[0].omega_f, modes[1].omega_f).tc_exact
+    tc_sqm = oq.critical_temperature_sqm(spec)
+    assert tc_sqm == (tc if tc > 0 and 1 / tc < cut else 0.0)
+    # and the paper's route agrees: entangled just below T_c, separable above it
+    with mp.workdps(40):
+        margin = lambda t: _mp_log_margin(mp, (spec.k0_i, spec.k0_f, spec.j_i, spec.j_f), mp.log(t))
+        if tc_sqm > 0:
+            assert margin(tc_sqm * (1 - 1e-9)) > 0 > margin(tc_sqm * (1 + 1e-9))
+        else:
+            assert margin(1 / cut) <= 0
+
+
+def test_downward_quench_at_high_temperature_is_computed_to_rounding():
+    # the paper's route cancelled a- = common - gap to <= 0 on 7 rows near T = 1e8
+    # ("Gaussian widths out of order") and put purity up to 130% off
+    mp = pytest.importorskip("mpmath")
+    spec = (5.0, 2.0, 3.0, 1.5)
+    temps = np.geomspace(1e3, 1e8, 1000)
+    values, flags = oq.observables(oq.QuenchSpec(*spec), temps, ["purity"])
+    assert not any(flags)
+    rows = np.r_[0:990:10, 990:1000]
+    with mp.workdps(60):
+        for i in rows:
+            beta = 1 / mp.mpf(temps[i])
+            (ap1, am1), (ap2, am2) = (_mp_widths(mp, wi, wf, beta) for wi, wf in _mp_modes(mp, spec))
+            expected = float(mp.sqrt(am1 / ap1 * am2 / ap2))
+            assert values["purity"][i] == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_von_neumann_entropy_does_not_underflow_at_low_temperature():
+    # 26th row of a 1000-point sweep over [0.01, 100]: omega_f beta = 355 and 435,
+    # S ~ 2e-152, which the paper's route wrote as 0
+    mp = pytest.importorskip("mpmath")
+    spec = (1.0, 20.0, 5.0, 5.0)
+    t = np.geomspace(0.01, 100.0, 1000)[25]
+    values, _ = oq.observables(oq.QuenchSpec(*spec), [t], ["von_neumann"])
+    expected = 0
+    with mp.workdps(400):
+        for wi, wf in _mp_modes(mp, spec):
+            ap, am = _mp_widths(mp, wi, wf, 1 / mp.mpf(t))
+            xi = (mp.sqrt(ap) - mp.sqrt(am)) / (mp.sqrt(ap) + mp.sqrt(am))
+            expected += -mp.log(1 - xi) - xi / (1 - xi) * mp.log(xi)
+    assert values["von_neumann"][0] == pytest.approx(float(expected), rel=1e-12, abs=0)
+    assert values["von_neumann"][0] > 1e-152
 
 
 def test_downward_sweep_with_tc_keeps_in_domain_rows(tmp_path):

@@ -239,9 +239,3 @@ class TestMutualInformation:
             spec = random_valid_quench(rng)
             beta = rng.uniform(0.1, 4.0)
             assert mutual_information(coupled_state(spec, beta)).mutual >= -1e-12
-
-    def test_report_json(self, rho_36):
-        import json
-        data = json.loads(mutual_information(rho_36).to_json())
-        assert set(data) == {"xi1", "xi2", "S_von", "S_renyi", "zeta", "I"}
-        assert "2.0" in data["S_renyi"]
