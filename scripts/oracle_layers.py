@@ -1,4 +1,4 @@
-"""Per-layer timings of the Nystrom oracle's symmetry blocks and of the Ermakov solvers.
+"""Per-layer timings of the Nystrom oracle's symmetry blocks, the Ermakov solvers and T_c.
 
 Usage: python scripts/oracle_layers.py
 
@@ -24,6 +24,14 @@ benchmark's ``verify`` ops: ``solve_real`` of the sudden quench 1.3 -> 2.7
 over t_max = 20 / 2.7 (about three periods) and ``solve_euclidean`` of the
 same quench up to beta = 2, each at the default tol and followed by its six
 dense-output queries.
+The ``separability`` entries time the separability layer on the inputs the
+CLI gives it: ``critical_temperature_sqm`` of the same 3->6/3->6 quench (one
+scalar root), ``critical_temperature`` on fig4b's 200 frequency pairs,
+``boundary_g`` on fig4a's 400 points and ``check_separable`` on fig4a's
+61 x 61 grid (no root); each run makes SEPARABILITY_CALLS calls, and the
+entry reports ms per call and the passes of every root search of one call
+(``negativity._root``; a pass is one evaluation of f over 32 or 33 points
+of every bracket).
 Prints JSON on stdout: the machine, the problem with its kept blocks and
 the solvers' accepted step counts, and per entry the median, minimum and
 maximum over the runs in ms.
@@ -50,6 +58,9 @@ import numpy as np  # noqa: E402  (after the BLAS cap)
 import oscquench as oq  # noqa: E402
 from oscquench import oracle  # noqa: E402
 
+# the package binds the function ``negativity`` over its module's name
+ng = sys.modules["oscquench.negativity"]
+
 SPEC = (3.0, 6.0, 3.0, 6.0)
 BETA = 0.6
 POINTS = 56
@@ -60,19 +71,49 @@ T_MAX = 20.0 / 2.7
 BETA_MAX = 2.0
 GRID_POINTS = (56, 200, 400)
 NYSTROM1D_POINTS = 200
+SEPARABILITY_CALLS = 50
+FIG4A_X = np.linspace(0.05, 5.0, 400)
+FIG4A_GRID = np.meshgrid(np.linspace(0.05, 3.0, 61), np.linspace(0.05, 3.0, 61), indexing="ij")
+FIG4B_J = np.linspace(0.5, 10.0, 200)
 
 
-def _timed(fn, before=None) -> dict:
-    """Median, min and max of ``fn`` in ms over RUNS calls, each after an untimed ``before``."""
+def _timed(fn, before=None, calls=1) -> dict:
+    """Median, min and max in ms per call of ``fn`` over RUNS runs of ``calls`` calls.
+
+    Each run starts after an untimed ``before``.
+    """
     fn()  # warm-up: lazy imports and first-touch page faults
     times = []
     for _ in range(RUNS):
         if before is not None:
             before()
         t0 = time.perf_counter()
-        fn()
-        times.append((time.perf_counter() - t0) * 1e3)
+        for _ in range(calls):
+            fn()
+        times.append((time.perf_counter() - t0) * 1e3 / calls)
     return {"median_ms": statistics.median(times), "min_ms": min(times), "max_ms": max(times)}
+
+
+def _root_passes(fn) -> list[int]:
+    """Passes of each ``negativity._root`` search that one call of ``fn`` makes."""
+    root = ng._root
+    passes = []
+
+    def counted(f, lo, hi):
+        passes.append(0)
+
+        def f_counted(x):
+            passes[-1] += 1
+            return f(x)
+
+        return root(f_counted, lo, hi)
+
+    ng._root = counted
+    try:
+        fn()
+    finally:
+        ng._root = root
+    return passes
 
 
 def _matvec_counts(blocks) -> list[int]:
@@ -146,6 +187,13 @@ def main() -> None:
         grids[f"make_{n}_cached"] = _timed(make)
     calls["nystrom1d"] = lambda: oq.nystrom_spectrum(
         single, oq.QuadratureGrid.for_kernel(single, NYSTROM1D_POINTS))
+    separability = {
+        "critical_temperature_sqm": lambda: oq.critical_temperature_sqm(oq.QuenchSpec(*SPEC)),
+        "critical_temperature_fig4b": lambda: oq.critical_temperature(
+            np.ones_like(FIG4B_J), np.sqrt(1 + 2 * FIG4B_J)),
+        "boundary_g_fig4a": lambda: oq.boundary_g(FIG4A_X),
+        "check_separable_fig4a": lambda: oq.check_separable(2 * FIG4A_GRID[0], 2 * FIG4A_GRID[1], 1.0),
+    }
     report = {
         "machine": {"nproc": os.cpu_count(), "pinned_cpu": cpu, "blas_threads": 1,
                     "python": platform.python_version(), "numpy": np.__version__,
@@ -162,6 +210,8 @@ def main() -> None:
         "layers": {name: _timed(fn) for name, fn in layers.items()},
         "calls": {name: _timed(fn) for name, fn in calls.items()},
         "ermakov": {name: _timed(fn) for name, fn in ermakov.items()},
+        "separability": {name: {**_timed(fn, calls=SEPARABILITY_CALLS), "root_passes": _root_passes(fn)}
+                         for name, fn in separability.items()},
     }
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")

@@ -7,7 +7,7 @@ oracle and an adaptive scale-factor ODE solver for general schedules.
 """
 
 from .core import (BETA_FLOOR, ModeQuench, ModeThermo, QuenchSpec, Widths, beta_star,
-                   mode_thermo, mode_widths, normal_modes, partition_single, purity_single)
+                   mode_thermo, mode_widths, normal_modes, purity_single)
 from .ermakov import (ErmakovSolution, FrequencySchedule, solve_euclidean, solve_real,
                       sudden_phase_euclidean, sudden_phase_real, sudden_scale_euclidean,
                       sudden_scale_real)

@@ -76,9 +76,8 @@ class ModeThermo:
     """Per-mode widths at fixed inverse temperature.
 
     ``a_plus`` and ``a_minus`` are the symmetric/antisymmetric Gaussian widths
-    of the thermal kernel, ``xi`` the geometric ratio of its eigenvalue
-    ladder, and ``eps = sqrt(a_plus * a_minus) = omega_f`` the eigenfunction
-    scale.
+    of the thermal kernel and ``xi`` the geometric ratio of its eigenvalue
+    ladder; sqrt(a_plus * a_minus) = omega_f is the eigenfunction scale.
     """
 
     mode: ModeQuench
@@ -86,7 +85,6 @@ class ModeThermo:
     a_plus: float
     a_minus: float
     xi: float
-    eps: float
 
 
 def normal_modes(spec: QuenchSpec) -> tuple[ModeQuench, ModeQuench]:
@@ -166,7 +164,7 @@ def mode_thermo(mode: ModeQuench, beta: float) -> ModeThermo:
     _check_beta(mode, beta)
     w = mode_widths(mode, beta)
     return ModeThermo(mode=mode, beta=beta, a_plus=float(w.a_plus), a_minus=float(w.a_minus),
-                      xi=float(w.xi), eps=mode.omega_f)
+                      xi=float(w.xi))
 
 
 def purity_single(mt):
@@ -176,11 +174,3 @@ def purity_single(mt):
     """
     return np.sqrt(mt.a_minus / mt.a_plus)
 
-
-def partition_single(mt: ModeThermo) -> float:
-    """Partition function 1 / (2 sinh(x/2)) of the one-mode thermal kernel, x = omega_f beta.
-
-    Written as exp(-x/2) / (1 - exp(-x)), which does not overflow at large x.
-    """
-    x = mt.mode.omega_f * mt.beta
-    return math.exp(-x / 2) / -math.expm1(-x)

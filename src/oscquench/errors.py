@@ -22,8 +22,9 @@ class CausticError(DomainError):
 class NonFactorizableError(ValueError):
     """A two-particle kernel does not decouple in normal-mode coordinates.
 
-    Raised by the closed-form bipartite eigensolver; the caller should fall
-    back to the trace-moment method.
+    Raised by the closed-form bipartite eigensolver for a kernel with cross
+    couplings between the normal-mode coordinates.  Thermal states and their
+    partial transposes never have them.
     """
 
 

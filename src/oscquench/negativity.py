@@ -5,13 +5,23 @@ geometric ladders with ratios zeta1 = r(a+_2, a-_1) and zeta2 = r(a+_1, a-_2),
 where r(p, m) = (sqrt p - sqrt m) / (sqrt p + sqrt m); a negative ratio
 signals entanglement (the covariance-matrix PPT criterion, Simon, PRL 84,
 2726 (2000)).  :mod:`oscquench.observables` evaluates these ratios over
-whole temperature grids.  A quenched state is the thermal state of the
-final frequencies (see :mod:`oscquench.core`), so T_c has one route:
-``critical_temperature`` takes frequency pairs and also gives the coth
-approximation, and ``critical_temperature_sqm`` applies it to a spec's
-final pair, cut at beta* for a downward quench.  The trace-moment route kept here (``pt_moments``:
-tr sigma^2 and tr sigma^3 of the transposed kernel determine zeta1, zeta2)
-shares no formula with it and serves as an independent cross-check; its
+whole temperature grids.
+
+A quenched state is the thermal state of the final frequencies (see
+:mod:`oscquench.core`), so separability and T_c are decided by one
+condition on the final pair: coth x coth(r x) >= r, with x = omega_min beta / 2
+and r = omega_max / omega_min.  ``_margin`` writes it in a form that neither
+cancels as r -> 1 nor overflows; ``check_separable`` tests its sign, and
+``g_inverse`` finds its root in x with ``_root``, a bracketed search that
+refines every element of an array to adjacent doubles and raises
+``NumericalFailureError`` if a bracket does not hold.  ``critical_temperature``
+turns that root into T_c and also gives the coth approximation;
+``critical_temperature_sqm`` applies it to a spec's final pair, cut at beta*
+for a downward quench.  ``boundary_g`` solves the boundary's own equation
+Y tanh Y = z coth z with the same search.  The trace-moment route kept here
+(``pt_moments``: tr sigma^2 and tr sigma^3 of the transposed kernel
+determine zeta1, zeta2) shares no formula with these and serves as an
+independent cross-check, as does ``pt_spectrum_const``; the moment route's
 error grows like ~1e-14 / |zeta1 zeta2| near the separability boundary.
 """
 
@@ -155,54 +165,62 @@ def negativity_for_quench(spec: QuenchSpec, beta: float) -> float:
     return negativity(mom.zeta1, mom.zeta2)
 
 
+def _margin(x, d):
+    """A number with the sign of coth x coth(r x) - r, r = 1 + d, elementwise.
+
+    That difference is the PPT condition cosh(d x) >= d sinh x sinh(r x)
+    (>= 0: separable) divided by sinh x sinh(r x).  Divided instead by
+    cosh(d x) e^(2x) / 4 it reads 4 e^(-2x) - d m (m + (2 - m) tanh(d x)),
+    m = 1 - e^(-2x): every term is >= 0, so nothing cancels as d -> 0 and
+    nothing overflows for finite x and d x.
+    """
+    t = -2 * x
+    m = -np.expm1(t)
+    return 4 * np.exp(t) - d * m * (m + (2 - m) * np.tanh(d * x))
+
+
 def check_separable(omega1, omega2, beta):
     """Separability of the constant-frequency thermal state (elementwise on arrays).
 
-    Equivalent to zeta1 >= 0 and zeta2 >= 0: with x = omega1 beta / 2 and
-    y = omega2 beta / 2, both x tanh x <= y coth y and x coth x >= y tanh y.
+    Equivalent to zeta1 >= 0 and zeta2 >= 0, i.e. coth x coth(r x) >= r with
+    x = omega_min beta / 2 and r = omega_max / omega_min.
     """
-    x, y = np.asarray(omega1 * beta / 2), np.asarray(omega2 * beta / 2)
-    first = x * np.tanh(x) - y / np.tanh(y) <= 0
-    second = x / np.tanh(x) - y * np.tanh(y) >= 0
-    sep = first & second
+    w_min, w_max = np.minimum(omega1, omega2), np.maximum(omega1, omega2)
+    sep = np.asarray(_margin(w_min * beta / 2, (w_max - w_min) / w_min) >= 0)
     return bool(sep) if sep.ndim == 0 else sep
 
 
-# Fractions of a bracket at which each pass of the root search evaluates f,
-# and a cap on the passes.  A pass narrows a bracket 32-fold, so a bracket
-# reaches the spacing of doubles, where it stops shrinking, well within the cap.
+# Fractions of a bracket at which each pass of the root search evaluates f.
 _SCAN = np.linspace(0.0, 1.0, 33)
-_MAX_PASSES = 64
+_LAST_CELL = len(_SCAN) - 2
 
 
-def _last_crossing(f, lo, hi):
-    """Highest x in [lo, hi] where f falls from > 0 to <= 0, per element of lo, hi.
+def _root(f, lo, hi):
+    """The x in [lo, hi] where a decreasing f falls from > 0 to <= 0, per element of lo, hi.
 
-    f must be elementwise on arrays, and f(hi) <= 0.  Each pass evaluates f
-    at evenly spaced points of every bracket and keeps the cell after the
-    last positive value; passes stop once no cell shrinks any more, i.e. at
-    the spacing of doubles.  Returns the midpoint of the final cell, or nan
-    (without further passes) where f <= 0 at every point of the first pass.
+    f must be elementwise on arrays.  Each pass evaluates f at the left ends
+    of 32 equal cells of every bracket and keeps the cell after the positive
+    values.  A bracket never grows, so the passes stop once none shrinks,
+    i.e. at the spacing of doubles; returns the midpoint of the final cell.
+    Raises ``NumericalFailureError`` unless f(lo) > 0 and f(hi) <= 0.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    last_cell = len(_SCAN) - 2
-    found = None
-    for _ in range(_MAX_PASSES):
+    scan = _SCAN  # the first pass also evaluates hi, to check the bracket
+    while True:
         width = hi - lo
-        pos = f(lo[..., None] + width[..., None] * _SCAN[:-1]) > 0
-        any_pos = pos.any(axis=-1)
-        if found is None:
-            found = any_pos
+        pos = f(lo[..., None] + width[..., None] * scan) > 0
+        if scan is _SCAN:
+            if not (pos[..., 0].all() and not pos[..., -1].any()):
+                raise NumericalFailureError("root is not bracketed: f(lo) <= 0 or f(hi) > 0")
+            scan = _SCAN[:-1]
         # a refined cell's left end can re-evaluate to <= 0 when the root sits
         # within rounding of it; keep the first cell then
-        k = np.where(any_pos, last_cell - np.argmax(pos[..., ::-1], axis=-1), 0)
+        k = np.maximum(pos.sum(axis=-1) - 1, 0)
         new_lo = lo + width * _SCAN[k]
-        new_hi = np.where(k == last_cell, hi, lo + width * _SCAN[k + 1])
-        settled = ((new_lo == lo) & (new_hi == hi)) | ~found
+        new_hi = np.where(k == _LAST_CELL, hi, lo + width * _SCAN[k + 1])
+        if ((new_lo == lo) & (new_hi == hi)).all():
+            return _scalar_or_array((lo + hi) / 2)
         lo, hi = new_lo, new_hi
-        if settled.all():
-            break
-    return _scalar_or_array(np.where(found, (lo + hi) / 2, np.nan))
 
 
 def boundary_g(z):
@@ -216,22 +234,23 @@ def boundary_g(z):
         raise DomainError(f"boundary argument must be positive and finite, got {z}")
     target = (z / np.tanh(z))[..., None]
     # Y = max(2z, 2) already has Y tanh Y >= z coth z, so it bounds the root
-    y = _last_crossing(lambda y: target - y * np.tanh(y), 0.0, np.maximum(2.0 * z, 2.0))
+    y = _root(lambda y: target - y * np.tanh(y), 0.0, np.maximum(2.0 * z, 2.0))
     return _scalar_or_array(np.asarray(y / z))
 
 
 def g_inverse(ratio):
     """Solve g(x) = ratio for x > 0 (ratio > 1), elementwise; g decreases from inf to 1.
 
-    x is refined to the spacing of doubles.
+    x is the root of ``_margin(x, ratio - 1)``, refined to the spacing of doubles.
     """
     r = np.asarray(ratio, dtype=float)
     if not np.all(np.isfinite(r) & (r > 1)):
         raise DomainError(f"g takes finite values > 1 only, got ratio = {ratio}")
-    # x = atanh(r^-1/2) has coth x = sqrt r < r tanh(r x), so g(x) < r there
-    hi = np.log((np.sqrt(r) + 1) ** 2 / (r - 1)) / 2
-    rc = r[..., None]
-    return _last_crossing(lambda x: x / np.tanh(x) - rc * x * np.tanh(rc * x), 1e-12, hi)
+    # below x = 1/r, x coth x > 1 > r x tanh(r x); at x = atanh(r^-1/2),
+    # coth x = sqrt r < r tanh(r x).  The factor 2 keeps that end past the
+    # root in floating point as r -> 1.
+    d = (r - 1)[..., None]
+    return _root(lambda x: _margin(x, d), 1 / r, 2 * np.arctanh(r**-0.5))
 
 
 @dataclass(frozen=True)
@@ -247,7 +266,9 @@ def critical_temperature(omega1, omega2) -> CriticalTemp:
 
     Exact: T_c = omega_min / (2 g^{-1}(omega_max / omega_min)), with
     g^{-1} refined to the spacing of doubles.  Approximate (g ~ coth):
-    T_c = omega_min / ln((omega_max + omega_min) / (omega_max - omega_min)).
+    T_c = omega_min / ln((omega_max + omega_min) / (omega_max - omega_min)),
+    evaluated as ln(1 + 2 omega_min / (omega_max - omega_min)) so that neither
+    omega_min / omega_max -> 0 nor -> 1 cancels.
     Equal frequencies are never entangled, so T_c = 0.  Frequency arrays
     give arrays of T_c, elementwise.  For a ``QuenchSpec`` use
     :func:`critical_temperature_sqm`, which applies this to the final pair.
@@ -262,8 +283,8 @@ def critical_temperature(omega1, omega2) -> CriticalTemp:
         raise DomainError("frequencies must be positive")
     w_min, w_max = np.minimum(w1, w2), np.maximum(w1, w2)
     equal = w_min == w_max
-    with np.errstate(divide="ignore"):
-        tc_approx = np.where(equal, 0.0, w_min / np.log((w_max + w_min) / (w_max - w_min)))
+    with np.errstate(divide="ignore"):  # equal frequencies: log1p(inf) = inf gives T_c = 0
+        tc_approx = w_min / np.log1p(2 * w_min / (w_max - w_min))
     x = g_inverse(np.where(equal, 2.0, w_max / w_min))
     tc_exact = np.where(equal, 0.0, w_min / (2 * x))
     return CriticalTemp(tc_exact=_scalar_or_array(tc_exact), tc_approx=_scalar_or_array(tc_approx))

@@ -94,9 +94,11 @@ def eigendecompose_1d(k: QuadraticKernel) -> SpectralData1D:
 def eigendecompose_bipartite(k: QuadraticKernel) -> BipartiteSpectralData:
     """Factorise a two-particle kernel into per-mode geometric ladders.
 
-    Raises ``NonFactorizableError`` when the exponent does not decouple in
-    normal-mode coordinates (the sudden-quench partial transpose); callers
-    should then use the trace-moment method instead.
+    Thermal states and their partial transposes decouple in the normal-mode
+    coordinates (x1 +- x2) / sqrt 2.  Raises ``NonFactorizableError`` for a
+    kernel whose exponent keeps cross couplings between those coordinates,
+    such as one built by hand; ``pt_moments`` or the quadrature oracle still
+    give its spectrum.
     """
     ky = rotate_to_normal_modes(k)
     q = ky.q
@@ -198,7 +200,13 @@ def renyi_entropy(xi, alpha: float):
         raise DomainError(f"alpha must be positive and finite, got {alpha}")
     if alpha == 1:
         return von_neumann_entropy(xi)
-    s = (alpha * np.log1p(-x) - np.log1p(-(x**alpha))) / (1 - alpha)
+    xa = x**alpha
+    with np.errstate(divide="ignore"):  # log(0) at xi = 0, masked below
+        # log(1 - xi^alpha): log1p(-xi^alpha) cancels as xi^alpha -> 1 and
+        # log(-expm1(alpha log xi)) as xi^alpha -> 0, so each takes its side of 1/2
+        log_tail = np.where(xa >= 0.5, np.log(-np.expm1(alpha * np.log(x))),
+                            np.log1p(-np.minimum(xa, 0.5)))
+    s = (alpha * np.log1p(-x) - log_tail) / (1 - alpha)
     return _scalar_or_array(np.where(x == 0, 0.0, s))
 
 

@@ -29,3 +29,24 @@ def random_valid_quench(rng) -> QuenchSpec:
     j_min = (k0_i + 2 * j_i - k0_f) / 2
     j_f = max(j_min, -0.4 * k0_f) + rng.uniform(0.01, 3.0)
     return QuenchSpec(k0_i, k0_f, j_i, j_f)
+
+
+def mp_tc_x(r, x_double):
+    """x = omega_min / (2 T_c) solving coth x coth(r x) = r, by bisection in mpmath at 80 digits.
+
+    The bracket [x_double / 2, 2 x_double] is checked before bisecting, so a
+    wrong double fails the check rather than steering the reference.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        r = mpmath.mpf(r)
+
+        def f(x):
+            return mpmath.coth(x) * mpmath.coth(r * x) - r
+
+        lo, hi = mpmath.mpf(x_double) / 2, mpmath.mpf(x_double) * 2
+        assert f(lo) > 0 > f(hi), f"bracket misses the root at r = {r}"
+        for _ in range(90):  # 2^-90 of the bracket: 1e-27 relative
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+        return (lo + hi) / 2

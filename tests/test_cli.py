@@ -10,6 +10,7 @@ from oscquench import DomainError
 from oscquench import cli
 from oscquench.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, FIGURE_NAMES, SweepConfig,
                            figure_preset, main, run_sweep, validate_config)
+from conftest import mp_tc_x
 
 GOOD_CONFIG = {
     "quench": {"k0_i": 1.0, "k0_f": 1.0, "j_i": 1.0, "j_f": 1.0},
@@ -62,15 +63,28 @@ class TestRunSweep:
         assert len(texts) == 1
 
     def test_negativity_vanishes_above_tc(self):
-        cfg = SweepConfig.from_dict(GOOD_CONFIG)
-        values = run_sweep(cfg).values
-        tc = 0.6339013112
-        for t, neg, row_tc in zip(values["T"], values["negativity"], values["tc"]):
-            if t >= tc + 1e-6:
-                assert neg == 0.0
-            elif t < tc - 1e-6:
-                assert neg > 0.0
-            assert row_tc == pytest.approx(tc, abs=1e-8)
+        cases = [
+            (GOOD_CONFIG["quench"], (0.5, 1.0), 0.6339013112),
+            # frequencies 1e-15 and 1: the ratio of the final pair is 1e15
+            ({"k0_i": 1e-30, "k0_f": 1e-30, "j_i": 0.5, "j_f": 0.5}, (0.2, 0.8), 0.4167782798),
+        ]
+        for quench, (t_min, t_max), tc in cases:
+            cfg = SweepConfig.from_dict(dict(GOOD_CONFIG, quench=quench, T_min=t_min, T_max=t_max))
+            values = run_sweep(cfg).values
+            for t, neg, row_tc in zip(values["T"], values["negativity"], values["tc"]):
+                if t >= tc + 1e-6:
+                    assert neg == 0.0
+                elif t < tc - 1e-6:
+                    assert neg > 0.0
+                assert row_tc == pytest.approx(tc, abs=1e-8)
+
+    def test_renyi_of_a_tiny_order_is_finite(self):
+        cfg = SweepConfig.from_dict(dict(GOOD_CONFIG, T_min=0.01, T_max=100.0, scale="log",
+                                         observables=["renyi:1e-20"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = run_sweep(cfg).values["renyi_1e-20"]
+        assert np.all(np.isfinite(values))
 
     def test_header_and_provenance(self):
         cfg = SweepConfig.from_dict(GOOD_CONFIG)
@@ -230,6 +244,34 @@ class TestMain:
         header = next(ln for ln in lines if not ln.startswith("#"))
         assert header == "J,tc_exact,tc_approx"
         assert len(lines) - lines.index(header) - 1 == 12
+
+    def test_tc_table_at_a_tiny_k0_has_no_nan(self, tmp_path):
+        out = tmp_path / "tc.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["tc", "--k0", "1e-30", "--j-min", "0.5", "--j-max", "10",
+                         "--points", "12", "--out", str(out)])
+        assert code == EXIT_OK
+        lines = out.read_text().splitlines()
+        rows = [line.split(",") for line in lines[lines.index("J,tc_exact,tc_approx") + 1:]]
+        values = np.array(rows, dtype=float)
+        assert len(rows) == 12 and np.all(np.isfinite(values))
+        # omega_min / omega_max = 1e-15 / sqrt(2 J): T_c -> sqrt(2 J) / (2 y0), y0 tanh y0 = 1
+        assert values[0, 1] == pytest.approx(0.4167782798, abs=1e-10)
+        assert values[0, 2] == pytest.approx(0.5, rel=1e-12)
+
+    def test_tc_table_at_near_equal_frequencies(self, tmp_path):
+        out = tmp_path / "tc.csv"
+        code = main(["tc", "--k0", "1", "--j-min", "1e-13", "--j-max", "1e-10",
+                     "--points", "3", "--out", str(out)])
+        assert code == EXIT_OK
+        lines = out.read_text().splitlines()
+        rows = [line.split(",") for line in lines[lines.index("J,tc_exact,tc_approx") + 1:]]
+        assert rows[0][1] == "0.0319277664501"
+        for j, tc_exact, _ in rows:
+            # the table's own double frequency pair, 1 and sqrt(1 + 2 J)
+            x = mp_tc_x(float(np.sqrt(1 + 2 * float(j))), 1 / (2 * float(tc_exact)))
+            assert float(tc_exact) == pytest.approx(float(1 / (2 * x)), rel=1e-12)
 
     def test_figure_command(self, tmp_path):
         assert main(["figure", "fig1a", "--out-dir", str(tmp_path)]) == EXIT_OK

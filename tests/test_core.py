@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oscquench import (BETA_FLOOR, DomainError, ModeQuench, QuenchSpec, beta_star, mode_thermo,
-                       normal_modes, partition_single, purity_single, sudden_phase_euclidean,
+                       normal_modes, purity_single, sudden_phase_euclidean,
                        sudden_scale_euclidean)
 from conftest import random_valid_quench
 
@@ -57,7 +57,7 @@ class TestModeThermo:
         assert mt.a_plus == pytest.approx(2 / math.tanh(1), rel=1e-14)
         assert mt.a_minus == pytest.approx(2 * math.tanh(1), rel=1e-14)
         assert mt.xi == pytest.approx(math.exp(-2), rel=1e-14)
-        assert mt.eps == 2.0
+        assert math.sqrt(mt.a_plus * mt.a_minus) == pytest.approx(2.0, rel=1e-14)
 
     def test_constant_reduction_large_argument(self):
         # b = 1, Gamma = omega beta, A = 0 at machine precision up to omega beta = 300
@@ -80,7 +80,7 @@ class TestModeThermo:
                 assert 0 <= mt.xi < 1
                 sp, sm = math.sqrt(mt.a_plus), math.sqrt(mt.a_minus)
                 assert mt.xi == pytest.approx((sp - sm) / (sp + sm), abs=1e-12)
-                assert mt.eps**2 == pytest.approx(mt.a_plus * mt.a_minus, rel=1e-12)
+                assert mode.omega_f**2 == pytest.approx(mt.a_plus * mt.a_minus, rel=1e-12)
                 p = purity_single(mt)
                 assert mt.xi == pytest.approx((1 - p) / (1 + p), abs=1e-12)
 
@@ -136,26 +136,4 @@ class TestPuritySingle:
         for beta in np.linspace(0.05, 3.0, 100):
             p = [purity_single(mode_thermo(ModeQuench(3, w), beta)) for w in (3, 5, 7)]
             assert p[0] <= p[1] + 1e-13 and p[1] <= p[2] + 1e-13
-
-
-class TestPartitionSingle:
-    def test_constant_closed_form(self):
-        for omega, beta in [(1.0, 1.0), (2.0, 0.7), (0.5, 3.0)]:
-            z = partition_single(mode_thermo(ModeQuench(omega, omega), beta))
-            assert z == pytest.approx(1 / (2 * math.sinh(omega * beta / 2)), rel=1e-13)
-
-    def test_value_at_unit(self):
-        z = partition_single(mode_thermo(ModeQuench(1, 1), 1.0))
-        assert z == pytest.approx(0.959517375667, abs=1e-10)
-
-    def test_ground_state_dominance(self):
-        # Z -> exp(-omega beta / 2) at low temperature
-        z20 = partition_single(mode_thermo(ModeQuench(1, 1), 20.0))
-        z30 = partition_single(mode_thermo(ModeQuench(1, 1), 30.0))
-        assert z30 / z20 == pytest.approx(math.exp(-5.0), rel=1e-8)
-
-    def test_sqm_value(self):
-        # frozen from 50-digit evaluation
-        z = partition_single(mode_thermo(ModeQuench(3, 5), 0.5))
-        assert z == pytest.approx(0.312125628659, abs=1e-10)
 

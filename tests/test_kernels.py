@@ -6,7 +6,7 @@ import pytest
 
 from oscquench import (CausticError, DomainError, ModeQuench, QuadraticKernel,
                        QuenchSpec, RealTimeKernelParams, mode_thermo,
-                       normal_modes, partial_transpose, partition_single,
+                       normal_modes, partial_transpose,
                        realtime_kernel_single, reduce_substate, sudden_phase_euclidean,
                        sudden_scale_euclidean, thermal_rho_coupled, thermal_rho_single)
 from oscquench.oracle import QuadratureGrid, trace_power
@@ -252,7 +252,7 @@ class TestRealTimeKernel:
         for beta in (0.4, 1.1):
             mt = mode_thermo(ModeQuench(3, 5), beta)
             k = thermal_rho_single(mt)
-            z = partition_single(mt)
+            z = 1 / (2 * math.sinh(5.0 * beta / 2))  # partition function at omega_f = 5
             p = RealTimeKernelParams(3.0, 5.0, -1j * beta)
             for _ in range(20):
                 x, xp = rng.uniform(-1.5, 1.5, 2)

@@ -1,15 +1,20 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from oscquench import (DomainError, QuenchSpec, boundary_g, check_separable,
+from oscquench import (DomainError, NumericalFailureError, QuenchSpec, boundary_g, check_separable,
                        critical_temperature, critical_temperature_sqm, g_inverse,
                        negativity, negativity_for_quench, normal_modes, pt_moments,
                        pt_spectrum_const, sigma_for_quench)
+from conftest import mp_tc_x
 
 W1, W2 = 1.0, math.sqrt(3.0)  # k0 = 1, J = 1
+
+# the package binds the function ``negativity`` over its module's name
+ng = sys.modules["oscquench.negativity"]
 
 
 class TestConstFreqPT:
@@ -150,12 +155,51 @@ class TestSeparability:
             pt = pt_spectrum_const(W1, W2, beta)
             assert check_separable(W1, W2, beta) == (pt.zeta1 >= 0 and pt.zeta2 >= 0)
 
+    def test_margin_sign_matches_the_ppt_condition(self, rng):
+        mpmath = pytest.importorskip("mpmath")
+        for _ in range(200):
+            x, d = math.exp(rng.uniform(-5, 3)), math.exp(rng.uniform(-30, 5))
+            with mpmath.workdps(60):
+                r = 1 + mpmath.mpf(d)
+                exact = mpmath.coth(x) * mpmath.coth(r * x) - r
+            if abs(exact) > 1e-12 * r:
+                assert (ng._margin(x, d) >= 0) == (exact >= 0)
+
+    def test_no_warning_at_extreme_arguments(self):
+        x = np.geomspace(1e-300, 1e4, 61)[:, None]
+        ratio = np.geomspace(1 + 2.0**-52, 1e300, 41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sep = check_separable(2 * x, 2 * x * ratio, 1.0)
+            g = boundary_g(x[:, 0])
+            tc = critical_temperature(1.0, ratio)
+        # high temperature is separable, low temperature entangled beyond near-equal frequencies
+        assert sep[0].all() and not sep[-1, 1:].any()
+        assert np.all(np.isfinite(g) & (g >= 1))
+        assert np.all(np.isfinite(tc.tc_exact) & (tc.tc_exact > 0))
+        assert np.all(tc.tc_exact <= tc.tc_approx)
+
+
+class TestRoot:
+    def test_refines_to_adjacent_doubles(self):
+        x = ng._root(lambda x: 2.0 - x * x, 0.0, 2.0)
+        assert abs(x - math.sqrt(2)) <= math.ulp(math.sqrt(2))
+
+    @pytest.mark.parametrize("lo, hi", [(1.5, 2.0), (0.0, 1.0), (np.array([0.0, 1.5]), 2.0)])
+    def test_unbracketed_root_refused(self, lo, hi):
+        with pytest.raises(NumericalFailureError, match="not bracketed"):
+            ng._root(lambda x: 2.0 - x * x, lo, hi)
+
+    def test_nan_bracket_refused(self):
+        with pytest.raises(NumericalFailureError):
+            ng._root(lambda x: 2.0 - x * x, np.nan, 2.0)
+
 
 class TestBoundary:
     def test_g_inverse_round_trip(self):
         for z in (0.3, 0.8, 1.5, 3.0):
             r = boundary_g(z)
-            assert g_inverse(r) == pytest.approx(z, abs=1e-8)
+            assert g_inverse(r) == pytest.approx(z, rel=1e-13)
 
     def test_mirror_symmetry(self):
         # upper-boundary point reflected through y = x lies on the lower boundary
@@ -201,6 +245,33 @@ class TestCriticalTemperature:
             assert negativity_for_quench(spec, 1 / t) == 0.0
         for t in np.linspace(0.3 * tc, tc - 1e-4, 20):
             assert negativity_for_quench(spec, 1 / t) > 0.0
+
+    def test_matches_mpmath_at_every_ratio(self):
+        rng = np.random.default_rng(17)
+        near_one = 1 + np.arange(1, 401) * 2.0**-52
+        spread = np.exp(rng.uniform(math.log(1e-12), math.log(math.log(1e300)), 300))
+        ratios = np.concatenate([near_one, [1 + 1e-12], np.exp(spread)])
+        tc = critical_temperature(1.0, ratios).tc_exact
+        assert np.all(np.isfinite(tc))
+        for r, t in zip(ratios, tc):
+            exact = 1 / (2 * mp_tc_x(r, 1 / (2 * t)))
+            assert abs(t / exact - 1) <= 1e-15, f"r = {r!r}"
+
+    @pytest.mark.parametrize("k0", [1e-20, 1e-30])
+    def test_extreme_ratios(self, k0):
+        # k0 -> 0 at J = 0.5: omega_max -> 1, tc_approx -> 1 / 2 and tc_exact -> 1 / (2 y0), y0 tanh y0 = 1
+        tc = critical_temperature(math.sqrt(k0), math.sqrt(k0 + 1))
+        assert tc.tc_approx == pytest.approx(0.5, rel=1e-15)
+        assert tc.tc_exact == pytest.approx(0.4167782798, abs=1e-10)
+
+    def test_tc_approx_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        w_max = np.concatenate([1 + np.arange(1, 50) * 2.0**-52, np.geomspace(1 + 1e-12, 1e300, 60)])
+        tc = critical_temperature(1.0, w_max).tc_approx
+        for w, t in zip(w_max, tc):
+            with mpmath.workdps(60):
+                exact = 1 / (2 * mpmath.atanh(1 / mpmath.mpf(w)))
+            assert abs(t / exact - 1) <= 4e-16, f"omega_max = {w!r}"
 
     def test_monotone_in_coupling(self):
         tcs = [critical_temperature(1.0, math.sqrt(1 + 2 * j)).tc_exact

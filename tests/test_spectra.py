@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ class TestEigendecompose1D:
         mt = mode_thermo(ModeQuench(3, 5), 0.5)
         sd = eigendecompose_1d(thermal_rho_single(mt))
         assert sd.xi == pytest.approx(mt.xi, abs=1e-12)
-        assert sd.eps0 == pytest.approx(mt.eps, rel=1e-12)
+        assert sd.eps0 == pytest.approx(mt.mode.omega_f, rel=1e-12)
         assert sd.eigenvalue_sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_continuous_spectrum_rejected(self):
@@ -69,8 +70,8 @@ class TestEigendecomposeBipartite:
         total = sd.eigenvalues(200, 200).sum()
         assert total == pytest.approx(1.0, abs=1e-12)
         m1, m2 = normal_modes(quench_36)
-        assert sd.eps1 == pytest.approx(mode_thermo(m1, 1.0).eps, rel=1e-12)
-        assert sd.eps2 == pytest.approx(mode_thermo(m2, 1.0).eps, rel=1e-12)
+        assert sd.eps1 == pytest.approx(m1.omega_f, rel=1e-12)
+        assert sd.eps2 == pytest.approx(m2.omega_f, rel=1e-12)
         # Hermitian state: eigenfunction widths are half the scales
         assert sd.mu1 == pytest.approx(sd.eps1 / 2, rel=1e-9)
         assert sd.mu2 == pytest.approx(sd.eps2 / 2, rel=1e-9)
@@ -184,6 +185,25 @@ class TestEntropies:
     def test_pure_state_zero(self):
         assert von_neumann_entropy(0.0) == 0.0
         assert renyi_entropy(0.0, 2.0) == 0.0
+
+    @pytest.mark.parametrize("alpha", [1e-20, 1e-8, 0.5, 2.0, 3.0])
+    def test_renyi_matches_mpmath(self, alpha):
+        # small orders put xi^alpha near 1, where log1p(-xi^alpha) cancels
+        mpmath = pytest.importorskip("mpmath")
+        xis = np.geomspace(1e-300, 0.5, 120)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = renyi_entropy(xis, alpha)
+        for xi, s in zip(xis, values):
+            with mpmath.workdps(80):
+                x, a = mpmath.mpf(xi), mpmath.mpf(alpha)
+                exact = (a * mpmath.log1p(-x) - mpmath.log1p(-(x**a))) / (1 - a)
+            assert abs(s / exact - 1) <= 1e-15, f"xi = {xi!r}"
+
+    def test_renyi_at_a_tiny_order_is_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert renyi_entropy(0.5, 1e-20) == pytest.approx(46.41821478046258, rel=1e-14)
 
     def test_alpha_one_dispatch_and_limit(self):
         for xi in (0.1, 0.5, 0.9):
