@@ -14,6 +14,11 @@ below 1e-24 of its largest diagonal entry.  The problem record gives the
 kept block sizes and the kept share of the nodes for rho and for sigma,
 and counts the eigensolve's matvecs per block of sigma (``dsymv`` calls
 on one triangle of the block).
+The ``hot`` record times the same four layers on the hot sigma: the same
+quench at omega_min beta = 0.5 (omega_min the softer final frequency), the
+low end of the benchmark's ``verify`` draws, on 56 nodes per axis.  There
+pruning keeps about three quarters of the nodes, so assembly is a larger
+share than at the anchor.
 The ``grid`` entries time ``QuadratureGrid.make`` at 56, 200 and 400 nodes,
 both with the Gauss-Legendre rule cache emptied first (the first call for
 that n) and served from it.  ``nystrom1d`` times the 1-D call in the shape
@@ -63,6 +68,7 @@ ng = sys.modules["oscquench.negativity"]
 
 SPEC = (3.0, 6.0, 3.0, 6.0)
 BETA = 0.6
+HOT_OMEGA_BETA = 0.5
 POINTS = 56
 TOP_K = 12
 RUNS = 7
@@ -152,12 +158,19 @@ def main() -> None:
 
     import scipy
 
-    layers = {
-        "assembly": lambda: oracle._symmetry_blocks(sigma, grid),
-        "top12_eigensolve": lambda: oracle._parity_eigvals(blocks, TOP_K),
-        "p2_contraction": lambda: oracle._parity_trace(blocks, 2),
-        "p3_contraction": lambda: oracle._parity_trace(blocks, 3),
-    }
+    def layers(k, grid):
+        blocks = oracle._symmetry_blocks(k, grid)[0]
+        return {
+            "assembly": lambda: oracle._symmetry_blocks(k, grid),
+            "top12_eigensolve": lambda: oracle._parity_eigvals(blocks, TOP_K),
+            "p2_contraction": lambda: oracle._parity_trace(blocks, 2),
+            "p3_contraction": lambda: oracle._parity_trace(blocks, 3),
+        }
+
+    hot_beta = HOT_OMEGA_BETA / min(m1.omega_f, m2.omega_f)
+    hot = oq.partial_transpose(
+        oq.thermal_rho_coupled(oq.mode_thermo(m1, hot_beta), oq.mode_thermo(m2, hot_beta)))
+    hot_grid = oq.QuadratureGrid.for_kernel(hot, POINTS)
     calls = {
         "nystrom_spectrum_top12": lambda: oq.nystrom_spectrum(sigma, grid, top_k=TOP_K,
                                                               with_error=False),
@@ -207,7 +220,10 @@ def main() -> None:
         "ermakov_problem": {"quench": ERMAKOV_QUENCH, "t_max": T_MAX, "beta_max": BETA_MAX,
                             "steps": {name: fn()[1] for name, fn in ermakov.items()}},
         "grid": grids,
-        "layers": {name: _timed(fn) for name, fn in layers.items()},
+        "layers": {name: _timed(fn) for name, fn in layers(sigma, grid).items()},
+        "hot": {"kernel": "sigma", "spec": SPEC, "omega_min_beta": HOT_OMEGA_BETA, "beta": hot_beta,
+                "kept_block_sizes": [len(b) for b in oracle._symmetry_blocks(hot, hot_grid)[0]],
+                "layers": {name: _timed(fn) for name, fn in layers(hot, hot_grid).items()}},
         "calls": {name: _timed(fn) for name, fn in calls.items()},
         "ermakov": {name: _timed(fn) for name, fn in ermakov.items()},
         "separability": {name: {**_timed(fn, calls=SEPARABILITY_CALLS), "root_passes": _root_passes(fn)}

@@ -41,6 +41,8 @@ from .kernels import QuadraticKernel, partial_transpose, thermal_rho_coupled
 # the moment inversion amplifies machine noise to ~1e-10 there, so the clamp
 # is relative to the moment scale.  Anything more negative is a real failure.
 DISCRIMINANT_CLAMP = 1e-9
+# the root of y tanh y = 1: x = g^-1(r) -> y0 / r as r -> inf
+_Y0 = 1.1996786402577337
 
 
 @dataclass(frozen=True)
@@ -276,17 +278,25 @@ def critical_temperature(omega1, omega2) -> CriticalTemp:
     tc_approx is an upper bound on tc_exact: with r = omega_max / omega_min,
     x_e = omega_min / (2 tc_exact) solves coth x_e = r tanh(r x_e) < r =
     coth x_a, so x_e > x_a.  The relative gap x_e / x_a - 1 rises with r
-    towards y0 - 1 = 0.19968, where y0 tanh y0 = 1.
+    towards y0 - 1 = 0.19968, where y0 tanh y0 = 1.  A ratio that overflows
+    (beyond 2^1024) takes the limits omega_max / (2 y0) and omega_max / 2,
+    which hold there to rounding.
     """
     w1, w2 = np.asarray(omega1, dtype=float), np.asarray(omega2, dtype=float)
     if not (np.all(w1 > 0) and np.all(w2 > 0)):
         raise DomainError("frequencies must be positive")
     w_min, w_max = np.minimum(w1, w2), np.maximum(w1, w2)
     equal = w_min == w_max
-    with np.errstate(divide="ignore"):  # equal frequencies: log1p(inf) = inf gives T_c = 0
+    # equal frequencies: log1p(inf) = inf gives T_c = 0.  A ratio beyond 2^1024 overflows;
+    # there x = y0 / r and log1p(2 / r) = 2 / r hold to rounding, so 2 T_c = omega_max / y0
+    # (exact) and omega_max (approximate)
+    with np.errstate(divide="ignore", over="ignore"):
         tc_approx = w_min / np.log1p(2 * w_min / (w_max - w_min))
-    x = g_inverse(np.where(equal, 2.0, w_max / w_min))
-    tc_exact = np.where(equal, 0.0, w_min / (2 * x))
+        ratio = w_max / w_min
+    far = np.isinf(ratio)
+    x = g_inverse(np.where(equal | far, 2.0, ratio))
+    tc_exact = np.where(equal, 0.0, np.where(far, w_max / (2 * _Y0), w_min / (2 * x)))
+    tc_approx = np.where(far, w_max / 2, tc_approx)
     return CriticalTemp(tc_exact=_scalar_or_array(tc_exact), tc_approx=_scalar_or_array(tc_approx))
 
 

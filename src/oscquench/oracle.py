@@ -29,11 +29,19 @@ therefore splits over the characters chi of the group {I, P} (1-d, or a
 r per node orbit the block of chi is
 sum_h chi(h) S_w[r, h s] / sqrt(|Stab r| |Stab s|), kept on the
 representatives whose stabiliser chi fixes (for odd grids the centre node
-only in the fully symmetric block).  Each T_h[r, s] = S_w[r, h s] is one
-assembly with the cross block Q_oi G_h, and one Walsh-Hadamard butterfly,
-(a, b) -> (a + b, a - b) per generator, combines them in place.  On a 2-d
-grid of m nodes that is four blocks of about m/4 rows: a quarter of the
-``exp`` work of S_w and no m x m buffer.  Spectra are those of the blocks
+only in the fully symmetric block).  The representatives are ordered
+X-fixed, free, PX-fixed, then the centre, so that the ones each character
+keeps form one run: all of them for chi(P+, X+), X-fixed and free for
+chi(P-, X+), free for chi(P+, X-), free and PX-fixed for chi(P-, X-) (free,
+then centre, on {I, P}).  Each T_h[r, s] = S_w[r, h s] is the ``exp`` of one
+matrix product, rows [p_r, h_r, 1] against columns [-2 Q_oi G_h p_s, 1, h_s].
+The products are taken in row tiles of about 2^15 entries per group element,
+so that the tiles of all elements stay in L2 together while one
+Walsh-Hadamard butterfly, (a, b) -> (a + b, a - b) per generator, combines
+them in place and each character's rows of its run are copied into its
+block, once, at its final place in one buffer.  On a 2-d grid of m nodes
+that is four blocks of about m/4 rows: a quarter of the ``exp`` work of S_w
+and no m x m buffer.  Spectra are those of the blocks
 from symmetric eigensolvers: ``eigvalsh``, or for the top k ARPACK ``eigsh``
 from a fixed start vector, with a matvec that reads one triangle of the
 block in place (BLAS ``dsymv``).  tr S_w^2 is the sum of their squared
@@ -78,6 +86,9 @@ ECONOMY_MAX_AXIS = 128
 _SYM_TOL = 1e-12
 # log of the share of the largest diagonal entry of S_w below which a row of S_w is dropped
 _LOG_NEGLIGIBLE = math.log(1e-24)
+# entries per group element in one row tile of the symmetry blocks: the tiles of all
+# elements (1 MB for four) stay in L2 through the exp, the butterfly and the copy-out
+_TILE_ENTRIES = 2 ** 15
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,6 +126,8 @@ class QuadratureGrid:
             object.__setattr__(self, name, arr)
         if np.shape(self.nodes) != (self.n_points,) or np.shape(self.weights) != (self.n_points,):
             raise DomainError(f"nodes and weights must each hold n_points = {self.n_points} values")
+        if not (np.isfinite(self.nodes).all() and np.isfinite(self.weights).all()):
+            raise DomainError("nodes and weights must be finite")
         if not np.array_equal(self.nodes, -self.nodes[::-1]):
             raise DomainError("nodes must be exactly antisymmetric about 0")
         if not np.array_equal(self.weights, self.weights[::-1]):
@@ -124,8 +137,8 @@ class QuadratureGrid:
     def make(cls, n_points: int, half_width: float) -> "QuadratureGrid":
         if n_points < MIN_POINTS:
             raise DomainError(f"n_points must be >= {MIN_POINTS}, got {n_points}")
-        if half_width <= 0:
-            raise DomainError(f"half_width must be positive, got {half_width}")
+        if not (math.isfinite(half_width) and half_width > 0):
+            raise DomainError(f"half_width must be finite and positive, got {half_width}")
         # the rule on [-1, 1] is computed once per n; every grid keeps its own copy
         x, w = _legendre_rule(n_points)
         return cls(n_points, float(half_width), x * half_width, w * half_width)
@@ -175,12 +188,15 @@ def _quad(p: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("ai,ij,aj->a", p, a, p)
 
 
-def _assemble(p: np.ndarray, h_out: np.ndarray, q_oi: np.ndarray, h_in: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """exp(h_out[a] - 2 p_a^T Q_oi p_b + h_in[b]), built in place in one m x m buffer (``out`` if given)."""
-    out = np.matmul(p @ (-2.0 * q_oi), p.T, out=out)
-    out += h_out[:, None]
-    out += h_in[None, :]
+def _assemble(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(left @ right), built in place in ``out`` if given.
+
+    Row a of ``left`` is [p_a, h_a, 1] and column b of ``right`` is
+    [-2 A p_b, 1, h'_b], so entry (a, b) is exp(h_a - 2 p_a^T A p_b + h'_b):
+    the row and column terms ride in the one product.  ``right`` is C-ordered
+    (d + 2) x m, which BLAS reads faster than the transpose of an m x (d + 2).
+    """
+    out = np.matmul(left, right, out=out)
     return np.exp(out, out=out)
 
 
@@ -192,7 +208,10 @@ def kernel_matrix(k: QuadraticKernel, grid: QuadratureGrid):
     """
     p, w = _points(k, grid)
     d = k.dim
-    mat = _assemble(p, -_quad(p, k.q[:d, :d]), k.q[:d, d:], -_quad(p, k.q[d:, d:]))
+    ones = np.ones(len(p))
+    left = np.column_stack([p, -_quad(p, k.q[:d, :d]), ones])
+    right = np.vstack([-2.0 * k.q[:d, d:] @ p.T, ones, -_quad(p, k.q[d:, d:])])
+    mat = _assemble(left, right)
     mat *= k.norm
     return mat, w
 
@@ -212,10 +231,21 @@ def _symmetry_blocks(k: QuadraticKernel, grid: QuadratureGrid):
     sum_h chi(h) T_h[r, s] / sqrt(|Stab r| |Stab s|) on the representatives
     whose stabiliser chi fixes (any other row vanishes).  Orbits whose rows
     lie below exp(_LOG_NEGLIGIBLE) of the largest diagonal entry of S_w by
-    ``_row_bounds`` are dropped first.  Returns the blocks and the bound
-    sqrt(2 m |J|) max_J exp(g) on the Frobenius norm of the dropped rows and
-    columns (0 when nothing is dropped).  A Q_oi that is not symmetric to
-    1e-12 of max |Q| is refused before anything is assembled.
+    ``_row_bounds`` are dropped first.
+
+    The representatives are ordered X-fixed, free, PX-fixed, centre (free,
+    centre on {I, P}), so that each character keeps one run [start, stop)
+    of them, possibly empty (a 0 x 0 block); pruning drops whole orbits and
+    keeps the order.  The blocks lie one after another, C-contiguous, at the
+    front of one buffer.  Rows are taken in tiles of _TILE_ENTRIES // rows:
+    per tile, one ``_assemble`` per group element h folds the row terms into
+    the product, the butterfly runs in place on the tiles, and each
+    character's rows of its run are copied into its block.
+
+    Returns the blocks and the bound sqrt(2 m |J|) max_J exp(g) on the
+    Frobenius norm of the dropped rows and columns (0 when nothing is
+    dropped).  A Q_oi that is not symmetric to 1e-12 of max |Q| is refused
+    before anything is assembled.
     """
     d = k.dim
     q = k.q
@@ -246,8 +276,12 @@ def _symmetry_blocks(k: QuadraticKernel, grid: QuadratureGrid):
     # each orbit's lowest node is its representative; fixes[h, r]: element h fixes r
     reps = np.flatnonzero(perms.min(axis=0) == np.arange(m))
     fixes = perms[:, reps] == reps
-    # free representatives first, then grouped by stabiliser: each character keeps few runs
-    order = np.argsort(np.dot(1 << np.arange(len(perms)), fixes), kind="stable")
+    # X-fixed, free, PX-fixed, centre ({I, P}: free, centre), so that the representatives
+    # each character keeps form one run; elements 1, 2 and 3 are P, X and PX
+    rank = 2 * fixes[1] + fixes[-1]
+    if len(fixes) == 4:
+        rank = rank - fixes[2]
+    order = np.argsort(rank, kind="stable")
     reps, fixes = reps[order], fixes[:, order]
     p = p[reps]
     n_orbits = len(reps)
@@ -264,33 +298,51 @@ def _symmetry_blocks(k: QuadraticKernel, grid: QuadratureGrid):
     # the norm and the weights enter as sqrt(norm w_r) sqrt(norm w_s), the stabilisers as above
     h = (0.5 * (math.log(k.norm) + np.log(w[reps]) - np.log(fixes.sum(axis=0)))
          - _quad(p, big_m))
-    # one buffer for all T_h: a single large allocation faults its pages in far faster than
-    # several.  It is sized for every orbit, kept or not, with the blocks at its front: one
-    # request size per grid lets malloc reuse the same memory call after call, where sizes
-    # that vary with the dropped orbits fragment its heap (over 138 benchmark verify cycles,
-    # peak RSS 126 MB against 112 MB).  Pages past the kept blocks are never touched.
-    rows = len(reps)
-    buf = np.empty(len(maps) * n_orbits ** 2)
-    blocks = list(buf[:len(maps) * rows * rows].reshape(len(maps), rows, rows))
-    for block, g in zip(blocks, maps):
-        _assemble(p, h, q_sym @ g, h, out=block)
-    # Walsh-Hadamard butterfly in place: blocks[c] becomes sum_b (-1)^popcount(b & c) T_b
-    n = len(blocks)
-    step = 1
-    while step < n:
-        for b in range(n):
-            if not b & step:
-                lo, hi = blocks[b], blocks[b | step]
-                lo += hi
-                hi *= -2.0
-                hi += lo
-        step *= 2
-    # character c keeps a representative when it is +1 on every element that fixes it
+    # T_e[r, s] = exp(left[r] . right[e][:, s]) with right[e][:, s] = [-2 Q_oi G_e p_s, 1, h_s]
+    ones = np.ones(len(h))
+    left = np.column_stack([p, h, ones])
+    right = [np.vstack([-2.0 * q_sym @ g @ p.T, ones, h]) for g in maps]
+    # character c keeps a representative when it is +1 on every element that fixes it;
+    # by the order above its kept set is the run [start, stop) of the representatives
+    n = len(maps)
     signs = np.array([[(-1) ** bin(b & c).count("1") for b in range(n)] for c in range(n)])
-    for c in range(n):
-        keep = np.flatnonzero(~np.any(fixes & (signs[c][:, None] < 0), axis=0))
-        if len(keep) < len(reps):
-            blocks[c] = _compact(blocks[c], keep)
+    kept = ~((signs < 0) @ fixes)
+    sizes = kept.sum(axis=1)
+    starts = np.where(sizes > 0, kept.argmax(axis=1), 0)
+    runs = np.stack([starts, starts + sizes], axis=1).tolist()
+    # one buffer for all blocks: a single large allocation faults its pages in far faster
+    # than several.  It is sized for every orbit, kept or not, with the blocks at its front:
+    # one request size per grid lets malloc reuse the same memory call after call, where
+    # sizes that vary with the dropped orbits fragment its heap (over 138 benchmark verify
+    # cycles, peak RSS 126 MB against 112 MB).  Pages past the kept blocks are never touched.
+    rows = len(reps)
+    buf = np.empty(n * n_orbits ** 2)
+    blocks, offset = [], 0
+    for start, stop in runs:
+        size = stop - start
+        blocks.append(buf[offset:offset + size * size].reshape(size, size))
+        offset += size * size
+    # row tiles small enough that the tiles of all elements stay in L2 together
+    tile = min(rows, max(1, _TILE_ENTRIES // rows))
+    scratch = np.empty((n, tile, rows))
+    for i in range(0, rows, tile):
+        j = min(i + tile, rows)
+        part = scratch[:, :j - i]
+        for e in range(n):
+            _assemble(left[i:j], right[e], out=part[e])
+        # Walsh-Hadamard butterfly in place: part[c] becomes sum_b (-1)^popcount(b & c) T_b
+        step = 1
+        while step < n:
+            pairs = part.reshape(-1, 2, step, j - i, rows)
+            lo, hi = pairs[:, 0], pairs[:, 1]
+            lo += hi
+            hi *= -2.0
+            hi += lo
+            step *= 2
+        for block, (start, stop), rows_c in zip(blocks, runs, part):
+            a, b = max(i, start), min(j, stop)
+            if a < b:
+                block[a - start:b - start] = rows_c[a - i:b - i, start:stop]
     return blocks, pruned
 
 
@@ -320,25 +372,6 @@ def _row_bounds(k: QuadraticKernel, pts: np.ndarray, w: np.ndarray):
     return g, float((log_nw - _quad(pts, _diagonal_exponent(k))).max()) + _LOG_NEGLIGIBLE
 
 
-def _compact(block: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """block[keep][:, keep] for ascending ``keep``, C-contiguous in the C-contiguous block's own memory."""
-    n, k = len(block), len(keep)
-    # move each later run of kept indices down to its place in the prefix, rows and columns
-    cuts = np.flatnonzero(np.diff(keep) != 1) + 1
-    for start, run in zip(np.r_[0, cuts], np.split(keep, cuts)):
-        if run[0] != start:
-            block[start:start + len(run)] = block[run[0]:run[-1] + 1]
-            block[:, start:start + len(run)] = block[:, run[0]:run[-1] + 1]
-    # close the row stride from n to k in chunks whose source and destination do not overlap
-    flat = block.reshape(-1)
-    i = 1
-    while i < k:
-        j = min(k, max(i + 1, i * n // k))
-        flat[i * k:j * k].reshape(j - i, k)[...] = block[i:j, :k]
-        i = j
-    return flat[:k * k].reshape(k, k)
-
-
 def _parity_eigvals(blocks, top_k) -> np.ndarray:
     """Eigenvalues of each block, its top ``top_k`` by |lambda| if set, unsorted.
 
@@ -348,19 +381,31 @@ def _parity_eigvals(blocks, top_k) -> np.ndarray:
     copy; handing over the block itself would copy it on every matvec.
     Each Lanczos run starts from a vector seeded by the block size alone:
     without one, ``eigsh`` draws its start from OS entropy, and the top
-    eigenvalues would change in their last bits from call to call.
+    eigenvalues would change in their last bits from call to call.  A block
+    of exact zeros gives its size in zeros without a Lanczos run; any ARPACK
+    failure is raised as ``NumericalFailureError``.
     """
     parts = []
     for block in blocks:
         # ARPACK needs top_k below the block size; a smaller block is solved densely
         if top_k is not None and top_k < len(block):
+            # a block underflowed to exact zeros (the odd blocks of a cold state) has only
+            # zero eigenvalues; ARPACK refuses it ("starting vector is zero").  The diagonal
+            # goes first: a full scan would read the whole block again on every call
+            if not (block.diagonal().any() or block.any()):
+                parts.append(np.zeros(len(block)))
+                continue
             from scipy.linalg.blas import dsymv
-            from scipy.sparse.linalg import LinearOperator, eigsh
+            from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
             op = LinearOperator(block.shape, matvec=lambda v, a=block.T: dsymv(1.0, a, v),
                                 dtype=block.dtype)
             v0 = np.random.default_rng(0).uniform(-1.0, 1.0, len(block))
-            parts.append(eigsh(op, k=top_k, which="LM", v0=v0, return_eigenvectors=False))
+            try:
+                parts.append(eigsh(op, k=top_k, which="LM", v0=v0, return_eigenvectors=False))
+            except ArpackError as exc:
+                raise NumericalFailureError(
+                    f"top-{top_k} eigensolve of a {len(block)}-row symmetry block failed: {exc}") from exc
         else:
             parts.append(np.linalg.eigvalsh(block))
     return np.concatenate(parts)

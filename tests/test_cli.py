@@ -260,6 +260,19 @@ class TestMain:
         assert values[0, 1] == pytest.approx(0.4167782798, abs=1e-10)
         assert values[0, 2] == pytest.approx(0.5, rel=1e-12)
 
+    def test_tc_table_at_an_overflowing_ratio(self, tmp_path):
+        # omega_max / omega_min = sqrt(2e300) / 1e-160 overflows, but T_c is finite:
+        # omega_max / (2 y0), y0 tanh y0 = 1, and omega_max / 2
+        out = tmp_path / "tc.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["tc", "--k0", "1e-320", "--j-min", "1e300", "--j-max", "1e300",
+                         "--points", "1", "--out", str(out)])
+        assert code == EXIT_OK
+        lines = out.read_text().splitlines()
+        rows = lines[lines.index("J,tc_exact,tc_approx") + 1:]
+        assert rows == ["1e+300,5.89413495796e+149,7.07106781187e+149"]
+
     def test_tc_table_at_near_equal_frequencies(self, tmp_path):
         out = tmp_path / "tc.csv"
         code = main(["tc", "--k0", "1", "--j-min", "1e-13", "--j-max", "1e-10",

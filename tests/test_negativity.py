@@ -264,6 +264,18 @@ class TestCriticalTemperature:
         assert tc.tc_approx == pytest.approx(0.5, rel=1e-15)
         assert tc.tc_exact == pytest.approx(0.4167782798, abs=1e-10)
 
+    def test_overflowing_ratio(self):
+        # omega_max / omega_min = 1e310 overflows; both T_c are finite: omega_max / (2 y0) and omega_max / 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tc = critical_temperature(1e-300, 1e10)
+            both = critical_temperature([1e-300, 1.0], [1e10, 1e300])
+        y0 = 1.1996786402577338   # y0 tanh y0 = 1
+        assert tc.tc_exact == pytest.approx(1e10 / (2 * y0), rel=1e-15)
+        assert tc.tc_approx == 5e9
+        assert both.tc_exact[0] == tc.tc_exact and both.tc_approx[0] == tc.tc_approx
+        assert both.tc_exact[1] == critical_temperature(1.0, 1e300).tc_exact
+
     def test_tc_approx_matches_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         w_max = np.concatenate([1 + np.arange(1, 50) * 2.0**-52, np.geomspace(1 + 1e-12, 1e300, 60)])

@@ -88,6 +88,39 @@ class TestQuadratureGrid:
             with pytest.raises(DomainError):
                 QuadratureGrid(n, 5.0, nodes, weights)
 
+    @pytest.mark.parametrize("half_width", [math.inf, -math.inf, math.nan])
+    def test_non_finite_half_width_refused(self, half_width):
+        # an infinite half-width once gave eigenvalues [0, 0, 0] and tr K^2 = 0
+        with pytest.raises(DomainError, match="half_width must be finite"):
+            QuadratureGrid.make(40, half_width)
+
+    def test_non_finite_nodes_or_weights_refused(self):
+        g = QuadratureGrid.make(40, 5.0)
+        # exactly antisymmetric and symmetric, so only the finiteness check can refuse them
+        nodes, weights = g.nodes.copy(), g.weights.copy()
+        nodes[[0, -1]] = -math.inf, math.inf
+        weights[[0, -1]] = math.inf
+        for bad_nodes, bad_weights in ((nodes, g.weights), (g.nodes, weights)):
+            with pytest.raises(DomainError, match="finite"):
+                QuadratureGrid(40, 5.0, bad_nodes, bad_weights)
+        nan_weights = g.weights.copy()
+        nan_weights[[0, -1]] = math.nan
+        with pytest.raises(DomainError, match="finite"):
+            QuadratureGrid(40, 5.0, g.nodes, nan_weights)
+
+
+def _spy_assemble(monkeypatch):
+    """Record the arguments of every ``_assemble`` call, then run the real one."""
+    calls = []
+    real = oracle._assemble
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_assemble", spy)
+    return calls
+
 
 class TestNystromSpectrum:
     def test_known_geometric_ladder(self):
@@ -134,11 +167,14 @@ class TestNystromSpectrum:
 
     @pytest.mark.parametrize("top_k", [0, -1])
     def test_top_k_below_one_refused_before_assembly(self, top_k, monkeypatch):
-        calls = []
-        monkeypatch.setattr(oracle, "_assemble", lambda *a: calls.append(a))
+        calls = _spy_assemble(monkeypatch)
+        grid = QuadratureGrid.for_kernel(RHO_1D, 32)
         with pytest.raises(DomainError):
-            nystrom_spectrum(RHO_1D, QuadratureGrid.for_kernel(RHO_1D, 32), top_k=top_k)
+            nystrom_spectrum(RHO_1D, grid, top_k=top_k)
         assert calls == []
+        # the spy sees an accepted call, so the empty record above means something
+        nystrom_spectrum(RHO_1D, grid, top_k=1, with_error=False)
+        assert calls
 
     def test_axis_cap(self):
         rho = coupled_state(QuenchSpec(1, 1, 1, 1), 1.0)
@@ -199,6 +235,34 @@ class TestTopKEigensolve:
         dense = dense[np.argsort(-np.abs(dense))][:12]
         top = nystrom_spectrum(k, grid, top_k=12, with_error=False).eigenvalues
         assert np.abs(top - dense).max() <= 1e-13 * abs(dense[0])
+
+    @pytest.mark.parametrize("dim, beta, n", [(2, 9.0, 56), (1, 16.0, 200)])
+    def test_blocks_of_exact_zeros(self, dim, beta, n):
+        # cold enough that the odd blocks underflow to exact zeros, which ARPACK once refused
+        # ("starting vector is zero"); the 1-d mode is omega = sqrt(6) of 3->6/3->6
+        m1, m2 = normal_modes(QuenchSpec(3, 6, 3, 6))
+        if dim == 2:
+            k = thermal_rho_coupled(mode_thermo(m1, beta), mode_thermo(m2, beta))
+        else:
+            assert m1.omega_f == pytest.approx(math.sqrt(6))
+            k = thermal_rho_single(mode_thermo(m1, beta))
+        grid = QuadratureGrid.for_kernel(k, n)
+        blocks = oracle._symmetry_blocks(k, grid)[0]
+        assert any(len(b) > 12 and not b.any() for b in blocks)
+        top = nystrom_spectrum(k, grid, top_k=12, with_error=False).eigenvalues
+        dense = nystrom_spectrum(k, grid, with_error=False).eigenvalues[:12]
+        assert np.abs(top - dense).max() <= 1e-13 * abs(dense[0])
+
+    def test_arpack_failure_is_a_numerical_failure(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def failing(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+        k, grid = self._kernel("sigma")
+        with pytest.raises(NumericalFailureError, match="no convergence"):
+            nystrom_spectrum(k, grid, top_k=12, with_error=False)
 
     def test_top12_is_a_function_of_its_input(self):
         k, grid = self._kernel("sigma")
@@ -414,12 +478,6 @@ class TestSymmetricAndGeneralRoutes:
         k, grid, _ = TestSymmetricAndGeneralRoutes.CASES[case]
         return _reference(k, grid)
 
-    @staticmethod
-    def _counting(monkeypatch):
-        calls = []
-        monkeypatch.setattr(oracle, "_assemble", lambda *args, **kwargs: calls.append(args))
-        return calls
-
     def test_cases_have_the_intended_cross_block(self):
         for k, grid, route in self.CASES:
             d = k.dim
@@ -462,11 +520,13 @@ class TestSymmetricAndGeneralRoutes:
     def test_spectrum_dense_and_top_k(self, case, monkeypatch):
         k, grid, route = self.CASES[case]
         if route == "refused":
-            calls = self._counting(monkeypatch)
+            calls = _spy_assemble(monkeypatch)
             for top_k in (None, 6):
                 with pytest.raises(DomainError, match="asymmetric"):
                     nystrom_spectrum(k, grid, top_k=top_k, with_error=False)
             assert calls == []
+            nystrom_spectrum(KERNEL_2D, grid, top_k=6, with_error=False)
+            assert calls
             return
         ref, _ = self._reference(case)
         scale = np.abs(ref).max()
@@ -485,11 +545,13 @@ class TestSymmetricAndGeneralRoutes:
         value, _ = trace_power(k, 1, grid, with_error=False)
         assert abs(value - ref[0]) <= 1e-12 * abs(ref[0])
         if route == "refused":
-            calls = self._counting(monkeypatch)
+            calls = _spy_assemble(monkeypatch)
             for p in (2, 3):
                 with pytest.raises(DomainError, match="asymmetric"):
                     trace_power(k, p, grid, with_error=False)
             assert calls == []
+            trace_power(KERNEL_2D, 2, grid, with_error=False)
+            assert calls
             return
         for p in (2, 3):
             value, _ = trace_power(k, p, grid, with_error=False)
@@ -615,6 +677,90 @@ class TestPruning:
             assert value_e == value
             # p |E| (|S| + |E|)^(p - 1) with |S| the Frobenius norm of the pruned S_w
             assert err_e - err == pytest.approx(p * 1e-3 * (norm + 1e-3) ** (p - 1), rel=1e-6, abs=0)
+
+
+def _character_blocks(k, grid, route):
+    """The oracle's symmetry blocks built straight from kernel_matrix.
+
+    Block chi is sum_h chi(h) S_w[r, h s] / sqrt(|Stab r| |Stab s|) over the
+    kept representatives r, s that chi keeps, ordered X-fixed, free, PX-fixed,
+    centre and by lowest node within each; the kept ones are those whose row
+    bound reaches the cut of ``_row_bounds``.
+    """
+    pts, w = oracle._points(k, grid)
+    d = k.dim
+    e = np.einsum("ai,ij,aj->a", pts, (k.q[:d, :d] - k.q[d:, d:]) / 2, pts)
+    sw, _ = kernel_matrix(k, grid)
+    sw *= (np.sqrt(w) * np.exp(e))[:, None]
+    sw *= (np.sqrt(w) * np.exp(-e))[None, :]
+    # node permutations of I, P, X, PX (I, P without the exchange)
+    nodes = np.arange(len(w))
+    perms = [nodes, nodes[::-1]]
+    if route == "PX":
+        exchange = nodes.reshape(grid.n_points, -1).T.ravel()
+        perms += [exchange, exchange[::-1]]
+    perms = np.array(perms)
+    reps = np.flatnonzero(perms.min(axis=0) == nodes)
+    bounds = oracle._row_bounds(k, pts, w)
+    if bounds is not None:
+        reps = reps[bounds[0][reps] >= bounds[1]]
+
+    def run_class(r):
+        fixed = perms[:, r] == r
+        if fixed[1]:
+            return 3                                        # the centre
+        if route == "PX" and (fixed[2] or fixed[3]):
+            return 0 if fixed[2] else 2                     # X-fixed, PX-fixed
+        return 1                                            # free
+
+    reps = np.array(sorted(reps, key=lambda r: (run_class(r), r)), dtype=int)
+    fixes = perms[:, reps] == reps
+    stab = fixes.sum(axis=0)
+    blocks = []
+    for c in range(len(perms)):
+        chi = np.array([(-1) ** bin(b & c).count("1") for b in range(len(perms))])
+        kept = ~np.any(fixes & (chi[:, None] < 0), axis=0)
+        keep = reps[kept]
+        norm = np.sqrt(np.outer(stab[kept], stab[kept]))
+        blocks.append(sum(x * sw[np.ix_(keep, perm[keep])] for x, perm in zip(chi, perms)) / norm)
+    return blocks
+
+
+class TestTiles:
+    """Blocks built in row tiles equal the character projections of kernel_matrix."""
+
+    CASES = [(RHO_1D, QuadratureGrid.for_kernel(RHO_1D, 40), "P"),           # 1-d, even, pruned
+             (KERNEL_1D, QuadratureGrid.make(41, 5.0), "P"),                # 1-d, odd
+             (KERNEL_2D, QuadratureGrid.make(32, 4.5), "P"),                # {I, P}, even
+             (KERNEL_2D, QuadratureGrid.make(33, 4.5), "P"),                # {I, P}, odd
+             (RHO_2D, QuadratureGrid.for_kernel(RHO_2D, 32), "PX"),         # even, pruned
+             (SIGMA_2D, QuadratureGrid.for_kernel(SIGMA_2D, 33), "PX"),     # odd, pruned
+             # so cold on its grid that chi(P+, X-) (free orbits only) and chi(P-) are empty
+             (RHO_2D, QuadratureGrid.make(32, 100.0), "PX"),
+             (RHO_1D, QuadratureGrid.make(41, 100.0), "P")]
+    WITH_EMPTY = (6, 7)
+
+    @staticmethod
+    def _tiles(rows):
+        """Tiles of 1 and 7 rows, and tiles with rows = k tile + 1 and rows = k tile - 1."""
+        over = [t for t in range(2, rows) if rows % t == 1 and rows // t >= 2]
+        short = [t for t in range(2, rows) if rows % t == t - 1]
+        return sorted({1, 7, *over[-1:], *short[-1:]})
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_blocks_match_kernel_matrix_at_every_tile_size(self, case, monkeypatch):
+        k, grid, route = self.CASES[case]
+        ref = _character_blocks(k, grid, route)
+        rows = len(ref[0])
+        for tile in self._tiles(rows):
+            monkeypatch.setattr(oracle, "_TILE_ENTRIES", tile * rows)
+            blocks = oracle._symmetry_blocks(k, grid)[0]
+            assert [b.shape for b in blocks] == [r.shape for r in ref]
+            scale = max(np.abs(r).max() for r in ref if r.size)
+            for b, r in zip(blocks, ref):
+                assert b.flags.c_contiguous
+                assert np.abs(b - r).max(initial=0.0) <= 1e-12 * scale
+        assert (min(len(r) for r in ref) == 0) == (case in self.WITH_EMPTY)
 
 
 @st.composite
