@@ -9,16 +9,20 @@ Four layers are timed on their own: assembly of the symmetry blocks (one
 per character of the kernel's grid symmetry group, four for sigma), the
 ARPACK top-12 eigensolve of every block, and the p = 2 and p = 3 trace
 contractions of the blocks; so are the public calls that chain them.
-The blocks hold only the node orbits whose rows of S_w are not provably
-below 1e-24 of its largest diagonal entry.  The problem record gives the
-kept block sizes and the kept share of the nodes for rho and for sigma,
-and counts the eigensolve's matvecs per block of sigma (``dsymv`` calls
-on one triangle of the block).
+The blocks hold only the node orbits that the oracle's pruning rule
+keeps: it drops the rest only while its bound on their Frobenius norm
+stays at or below u = 2^-53 times the largest diagonal entry of S_w.  The
+problem record gives the kept block sizes, the kept share of the nodes
+and that bound as a share of the largest diagonal entry
+(``pruned_over_max_diag``, at most 2^-53 = 1.1e-16) for rho and for
+sigma, and counts the eigensolve's matvecs per block of sigma (``dsymv``
+calls on one triangle of the block).
 The ``hot`` record times the same four layers on the hot sigma: the same
 quench at omega_min beta = 0.5 (omega_min the softer final frequency), the
-low end of the benchmark's ``verify`` draws, on 56 nodes per axis.  There
-pruning keeps about three quarters of the nodes, so assembly is a larger
-share than at the anchor.
+low end of the benchmark's ``verify`` draws, on 56 nodes per axis, and
+gives its kept block sizes and pruning bound the same way.  There pruning
+keeps about 88% of the nodes, so assembly is a larger share than at the
+anchor.
 The ``grid`` entries time ``QuadratureGrid.make`` at 56, 200 and 400 nodes,
 both with the Gauss-Legendre rule cache emptied first (the first call for
 that n) and served from it.  ``nystrom1d`` times the 1-D call in the shape
@@ -143,6 +147,15 @@ def _matvec_counts(blocks) -> list[int]:
     return counts
 
 
+def _kept(k, grid) -> tuple[list, float]:
+    """The symmetry blocks of ``k`` on ``grid`` and their pruning bound over max diag S_w."""
+    blocks, pruned = oracle._symmetry_blocks(k, grid)
+    # the diagonal of S_w is that of W^1/2 K W^1/2: norm w_a exp(-x_a^T D x_a)
+    pts, w = oracle._points(k, grid)
+    max_diag = k.norm * (w * np.exp(-oracle._quad(pts, oracle._diagonal_exponent(k)))).max()
+    return blocks, pruned / max_diag
+
+
 def main() -> None:
     cpu = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
@@ -151,10 +164,9 @@ def main() -> None:
     rho = oq.thermal_rho_coupled(oq.mode_thermo(m1, BETA), oq.mode_thermo(m2, BETA))
     sigma = oq.partial_transpose(rho)
     grid = oq.QuadratureGrid.for_kernel(sigma, POINTS)
-    kept = {}
-    for name, k in (("rho", rho), ("sigma", sigma)):
-        kept[name] = oracle._symmetry_blocks(k, oq.QuadratureGrid.for_kernel(k, POINTS))[0]
-    blocks = kept["sigma"]
+    kept = {name: _kept(k, oq.QuadratureGrid.for_kernel(k, POINTS))
+            for name, k in (("rho", rho), ("sigma", sigma))}
+    blocks = kept["sigma"][0]
 
     import scipy
 
@@ -171,6 +183,7 @@ def main() -> None:
     hot = oq.partial_transpose(
         oq.thermal_rho_coupled(oq.mode_thermo(m1, hot_beta), oq.mode_thermo(m2, hot_beta)))
     hot_grid = oq.QuadratureGrid.for_kernel(hot, POINTS)
+    hot_blocks, hot_bound = _kept(hot, hot_grid)
     calls = {
         "nystrom_spectrum_top12": lambda: oq.nystrom_spectrum(sigma, grid, top_k=TOP_K,
                                                               with_error=False),
@@ -213,16 +226,17 @@ def main() -> None:
                     "scipy": scipy.__version__, "processor": platform.processor()},
         "problem": {"kernel": "sigma", "spec": SPEC, "beta": BETA, "points_per_axis": POINTS,
                     "nodes": POINTS ** 2,
-                    "kept_block_sizes": {name: [len(b) for b in bs] for name, bs in kept.items()},
+                    "kept_block_sizes": {name: [len(b) for b in bs] for name, (bs, _) in kept.items()},
+                    "pruned_over_max_diag": {name: bound for name, (_, bound) in kept.items()},
                     "kept_share": {name: sum(len(b) for b in bs) / POINTS ** 2
-                                   for name, bs in kept.items()},
+                                   for name, (bs, _) in kept.items()},
                     "top12_matvecs_per_block": _matvec_counts(blocks), "runs": RUNS},
         "ermakov_problem": {"quench": ERMAKOV_QUENCH, "t_max": T_MAX, "beta_max": BETA_MAX,
                             "steps": {name: fn()[1] for name, fn in ermakov.items()}},
         "grid": grids,
         "layers": {name: _timed(fn) for name, fn in layers(sigma, grid).items()},
         "hot": {"kernel": "sigma", "spec": SPEC, "omega_min_beta": HOT_OMEGA_BETA, "beta": hot_beta,
-                "kept_block_sizes": [len(b) for b in oracle._symmetry_blocks(hot, hot_grid)[0]],
+                "kept_block_sizes": [len(b) for b in hot_blocks], "pruned_over_max_diag": hot_bound,
                 "layers": {name: _timed(fn) for name, fn in layers(hot, hot_grid).items()}},
         "calls": {name: _timed(fn) for name, fn in calls.items()},
         "ermakov": {name: _timed(fn) for name, fn in ermakov.items()},

@@ -48,10 +48,10 @@ block in place (BLAS ``dsymv``).  tr S_w^2 is the sum of their squared
 norms, and tr S_w^3 takes one symmetric rank-k product per block, m^3/16
 flops in all against m^3 for S_w (m^3/4 on the {I, P} route).
 
-Before any ``exp`` is taken, every node orbit whose rows of S_w are
-provably below 1e-24 of its largest diagonal entry is dropped.
-With Sigma = M - Q_oi M^-1 Q_oi, maximising log |S_w[r, s]| over a
-continuous p_s gives |S_w[r, s]| <= exp(g_r) for every s, with
+Before any ``exp`` is taken, the node orbits that S_w provably does not
+need at the unit roundoff u = 2^-53 are dropped.  With
+Sigma = M - Q_oi M^-1 Q_oi, maximising log |S_w[r, s]| over a continuous
+p_s gives |S_w[r, s]| <= exp(g_r) for every s, with
 g_r = 1/2 log(norm w_r) + 1/2 max log(norm w) - p_r^T Sigma p_r; the largest
 diagonal entry costs O(m) through the diagonal exponent.  Sigma and w are
 invariant under P and X, so whole orbits go, and the blocks are assembled
@@ -61,9 +61,14 @@ rows and columns set to zero, so a dense spectrum is padded with zeros to
 all m eigenvalues; by Weyl each eigenvalue moves by at most
 |E|_F <= sqrt(2 m |J|) max_{r in J} exp(g_r), J the dropped nodes, and
 tr S_w^p by at most p |E|_F (|S|_F + |E|_F)^(p-1).  The error estimates add
-these terms.  Grids sized by ``QuadratureGrid.for_kernel`` keep about half
-their nodes (433, 421, 404 and 416 of the 812, 784, 756 and 784 block rows
-of the partial transpose of 3->6/3->6 at beta 0.6 on 56^2 nodes).
+these terms.  An orbit is dropped when g_r < log(u max diag S_w)
+- log(sqrt(2) m): with |J| <= m that keeps |E|_F at or below u max diag S_w,
+so at most u |S_w|_2, the rounding floor of the eigensolve and the
+contraction on the kept blocks.  Grids sized by ``QuadratureGrid.for_kernel``
+keep about a third of their nodes at the benchmark's anchor (301, 290, 275
+and 286 of the 812, 784, 756 and 784 block rows of the partial transpose of
+3->6/3->6 at beta 0.6 on 56^2 nodes) and most of them at its hottest draws
+(710, 693, 665 and 682 at omega_min beta = 0.5).
 """
 
 from __future__ import annotations
@@ -84,8 +89,9 @@ FULL_EIG_MAX = 4096
 ECONOMY_MAX_AXIS = 128
 # relative asymmetry of Q_oi (and of the exchange) up to which the kernel is taken as symmetric
 _SYM_TOL = 1e-12
-# log of the share of the largest diagonal entry of S_w below which a row of S_w is dropped
-_LOG_NEGLIGIBLE = math.log(1e-24)
+# log of the unit roundoff u: the dropped part of S_w is bounded by u times its largest
+# diagonal entry, at most u |S_w|_2, the rounding floor of the work on the kept blocks
+_LOG_NEGLIGIBLE = math.log(2.0 ** -53)
 # entries per group element in one row tile of the symmetry blocks: the tiles of all
 # elements (1 MB for four) stay in L2 through the exp, the butterfly and the copy-out
 _TILE_ENTRIES = 2 ** 15
@@ -216,6 +222,46 @@ def kernel_matrix(k: QuadraticKernel, grid: QuadratureGrid):
     return mat, w
 
 
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@functools.lru_cache(maxsize=None)
+def _orbits(n_points: int, dim: int, exchange: bool):
+    """Read-only node orbits of {I, P} (with ``exchange``, {I, P, X, PX}) on a grid of ``n_points`` per axis.
+
+    Returns the coordinate maps G_h of the group elements in binary order
+    (bit j of an element's index marks generator j: P, then X), one
+    representative per orbit (its lowest flat node index), ``fixes[h, r]``
+    (element h fixes representative r), C-ordered, and the stabiliser
+    orders |Stab r|.  The representatives are ordered X-fixed, free,
+    PX-fixed, centre ({I, P}: free, centre), so that the ones each character
+    keeps form one run.  All of it depends on the grid's size only.
+    """
+    m = n_points ** dim
+    # generators as (node permutation, coordinate map); P reverses the flat index on either grid
+    gens = [(np.arange(m)[::-1], -np.eye(dim))]
+    if exchange:
+        gens.append((np.arange(m).reshape(n_points, -1).T.ravel(), _SWAP))
+    perms, maps = [np.arange(m)], [np.eye(dim)]
+    for perm, g in gens:
+        perms += [perm[e] for e in perms]
+        maps += [g @ e for e in maps]
+    perms = np.array(perms)
+    reps = np.flatnonzero(perms.min(axis=0) == np.arange(m))
+    fixes = perms[:, reps] == reps
+    # elements 1, 2 and 3 are P, X and PX
+    rank = 2 * fixes[1] + fixes[-1]
+    if exchange:
+        rank = rank - fixes[2]
+    order = np.argsort(rank, kind="stable")
+    reps, fixes = reps[order], np.ascontiguousarray(fixes[:, order])
+    maps = np.array(maps)
+    stab = fixes.sum(axis=0)
+    for arr in (maps, reps, fixes, stab):
+        arr.flags.writeable = False
+    return maps, reps, fixes, stab
+
+
 def _symmetry_blocks(k: QuadraticKernel, grid: QuadratureGrid):
     """Blocks of the symmetric S_w = D^-1 W^1/2 K W^1/2 D, one per character of its symmetry group.
 
@@ -229,11 +275,14 @@ def _symmetry_blocks(k: QuadraticKernel, grid: QuadratureGrid):
     T_h[r, s] = S_w[r, h s] is ``_assemble`` with the cross block Q_oi G_h,
     and the character chi has the block
     sum_h chi(h) T_h[r, s] / sqrt(|Stab r| |Stab s|) on the representatives
-    whose stabiliser chi fixes (any other row vanishes).  Orbits whose rows
-    lie below exp(_LOG_NEGLIGIBLE) of the largest diagonal entry of S_w by
-    ``_row_bounds`` are dropped first.
+    whose stabiliser chi fixes (any other row vanishes).  The orbits whose
+    row bound g_r from ``_row_bounds`` lies below
+    log(u max diag S_w) - log(sqrt(2) m), u = 2^-53 and m the grid's node
+    count, are dropped first.
 
-    The representatives are ordered X-fixed, free, PX-fixed, centre (free,
+    The orbits, their representatives and stabilisers depend on the grid's
+    size only and come from ``_orbits``, computed once per size.  The
+    representatives are ordered X-fixed, free, PX-fixed, centre (free,
     centre on {I, P}), so that each character keeps one run [start, stop)
     of them, possibly empty (a 0 x 0 block); pruning drops whole orbits and
     keeps the order.  The blocks lie one after another, C-contiguous, at the
@@ -243,8 +292,9 @@ def _symmetry_blocks(k: QuadraticKernel, grid: QuadratureGrid):
     character's rows of its run are copied into its block.
 
     Returns the blocks and the bound sqrt(2 m |J|) max_J exp(g) on the
-    Frobenius norm of the dropped rows and columns (0 when nothing is
-    dropped).  A Q_oi that is not symmetric to 1e-12 of max |Q| is refused
+    Frobenius norm of the dropped rows and columns J (0 when nothing is
+    dropped; by the cut, at most u max diag S_w).  A Q_oi that is not
+    symmetric to 1e-12 of max |Q| is refused
     before anything is assembled.
     """
     d = k.dim
@@ -255,49 +305,32 @@ def _symmetry_blocks(k: QuadraticKernel, grid: QuadratureGrid):
     if asym > tol:
         raise DomainError(f"cross block Q_oi is asymmetric by {asym:.3e} (> {tol:.1e}): "
                           "not the kernel of a Hermitian state or its partial transpose")
-    p, w = _points(k, grid)
-    m = len(w)
     big_m = (q[:d, :d] + q[d:, d:]) / 2
     q_sym = (q_oi + q_oi.T) / 2
-    # generators as (node permutation, coordinate map); P reverses the flat index on either grid
-    gens = [(np.arange(m)[::-1], -np.eye(d))]
+    exchange = False
     if d == 2:
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        m_x, q_x = swap @ big_m @ swap, swap @ q_sym @ swap
+        m_x, q_x = _SWAP @ big_m @ _SWAP, _SWAP @ q_sym @ _SWAP
         if max(np.abs(big_m - m_x).max(), np.abs(q_sym - q_x).max()) <= tol:
             big_m, q_sym = (big_m + m_x) / 2, (q_sym + q_x) / 2
-            gens.append((np.arange(m).reshape(grid.n_points, -1).T.ravel(), swap))
-    # group elements in binary order: bit j of an element's index marks generator j
-    perms, maps = [np.arange(m)], [np.eye(d)]
-    for perm, g in gens:
-        perms += [perm[e] for e in perms]
-        maps += [g @ e for e in maps]
-    perms = np.array(perms)
-    # each orbit's lowest node is its representative; fixes[h, r]: element h fixes r
-    reps = np.flatnonzero(perms.min(axis=0) == np.arange(m))
-    fixes = perms[:, reps] == reps
-    # X-fixed, free, PX-fixed, centre ({I, P}: free, centre), so that the representatives
-    # each character keeps form one run; elements 1, 2 and 3 are P, X and PX
-    rank = 2 * fixes[1] + fixes[-1]
-    if len(fixes) == 4:
-        rank = rank - fixes[2]
-    order = np.argsort(rank, kind="stable")
-    reps, fixes = reps[order], fixes[:, order]
-    p = p[reps]
+            exchange = True
+    maps, reps, fixes, stab = _orbits(grid.n_points, d, exchange)
+    p, w = _points(k, grid)
+    m = len(w)
+    p, w = p[reps], w[reps]
     n_orbits = len(reps)
     # drop the orbits whose rows are negligible; w and the bound are orbit-invariant
     pruned = 0.0
-    bounds = _row_bounds(k, p, w[reps])
+    bounds = _row_bounds(k, p, w, m)
     if bounds is not None:
         bound, cut = bounds
         keep = bound >= cut
         if not keep.all():
-            orbit = len(perms) // fixes[:, ~keep].sum(axis=0)
+            orbit = len(maps) // stab[~keep]
             pruned = math.sqrt(2 * m * orbit.sum()) * math.exp(bound[~keep].max())
-            reps, fixes, p = reps[keep], fixes[:, keep], p[keep]
+            # ``compress`` keeps ``fixes`` C-ordered, where fancy indexing would not
+            p, w, fixes, stab = p[keep], w[keep], fixes.compress(keep, axis=1), stab[keep]
     # the norm and the weights enter as sqrt(norm w_r) sqrt(norm w_s), the stabilisers as above
-    h = (0.5 * (math.log(k.norm) + np.log(w[reps]) - np.log(fixes.sum(axis=0)))
-         - _quad(p, big_m))
+    h = 0.5 * (math.log(k.norm) + np.log(w) - np.log(stab)) - _quad(p, big_m)
     # T_e[r, s] = exp(left[r] . right[e][:, s]) with right[e][:, s] = [-2 Q_oi G_e p_s, 1, h_s]
     ones = np.ones(len(h))
     left = np.column_stack([p, h, ones])
@@ -315,7 +348,7 @@ def _symmetry_blocks(k: QuadraticKernel, grid: QuadratureGrid):
     # one request size per grid lets malloc reuse the same memory call after call, where
     # sizes that vary with the dropped orbits fragment its heap (over 138 benchmark verify
     # cycles, peak RSS 126 MB against 112 MB).  Pages past the kept blocks are never touched.
-    rows = len(reps)
+    rows = len(h)
     buf = np.empty(n * n_orbits ** 2)
     blocks, offset = [], 0
     for start, stop in runs:
@@ -346,11 +379,15 @@ def _symmetry_blocks(k: QuadraticKernel, grid: QuadratureGrid):
     return blocks, pruned
 
 
-def _row_bounds(k: QuadraticKernel, pts: np.ndarray, w: np.ndarray):
-    """Bounds g with |S_w[r, s]| <= exp(g_r) for every s, and the cut log(eps max_r S_w[r, r]).
+def _row_bounds(k: QuadraticKernel, pts: np.ndarray, w: np.ndarray, m: int | None = None):
+    """Bounds g with |S_w[r, s]| <= exp(g_r) for every s, and the cut log(u max_r S_w[r, r] / (sqrt(2) m)).
 
     Over the points ``pts`` of weights ``w``, which hold the grid's largest
-    weight.  log |S_w[r, s]| is 1/2 log(norm w_r) + 1/2 log(norm w_s)
+    weight, on a grid of ``m`` nodes (``len(pts)`` by default; the orbit
+    representatives stand for all m).  Dropping the nodes J below the cut
+    leaves sqrt(2 m |J|) max_J exp(g) <= sqrt(2) m max_J exp(g) below
+    u = 2^-53 times the largest diagonal entry, so below u |S_w|_2.
+    log |S_w[r, s]| is 1/2 log(norm w_r) + 1/2 log(norm w_s)
     - (p_r, p_s) [[M, Q_oi], [Q_oi, M]] (p_r, p_s), and its maximum over p_s
     in R^d is reached at -M^-1 Q_oi p_r when M is positive definite, so
     g_r = 1/2 log(norm w_r) + 1/2 max log(norm w) - p_r^T Sigma p_r with
@@ -369,7 +406,9 @@ def _row_bounds(k: QuadraticKernel, pts: np.ndarray, w: np.ndarray):
         return None
     log_nw = math.log(k.norm) + np.log(w)
     g = 0.5 * (log_nw + log_nw.max()) - _quad(pts, sigma)
-    return g, float((log_nw - _quad(pts, _diagonal_exponent(k))).max()) + _LOG_NEGLIGIBLE
+    m = len(pts) if m is None else m
+    log_diag = float((log_nw - _quad(pts, _diagonal_exponent(k))).max())
+    return g, log_diag + _LOG_NEGLIGIBLE - math.log(math.sqrt(2.0) * m)
 
 
 def _parity_eigvals(blocks, top_k) -> np.ndarray:
@@ -462,11 +501,11 @@ def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None
     kernel of the package also under the exchange X, so the spectrum is the
     union of those of one block per character of {I, P} or {I, P, X, PX}
     (see the module docstring): symmetric eigensolves (Lanczos per block for
-    ``top_k``), real by construction.  The node orbits whose rows of S_w are
-    provably below 1e-24 of its largest diagonal entry are dropped first
-    (see the module docstring): the eigenvalues are those of S_w with the
-    dropped rows and columns set to zero, padded with zeros where fewer than
-    asked for remain.
+    ``top_k``), real by construction.  The node orbits whose rows and
+    columns of S_w provably have a Frobenius norm of at most 2^-53 times its
+    largest diagonal entry are dropped first (see the module docstring): the
+    eigenvalues are those of S_w with the dropped rows and columns set to
+    zero, padded with zeros where fewer than asked for remain.
 
     Returns min(``top_k``, m) eigenvalues sorted by |lambda| descending, all
     m without ``top_k``; ``top_k`` < 1 is refused.  The error estimate is

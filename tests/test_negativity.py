@@ -309,6 +309,34 @@ class TestCriticalTemperatureSQM:
     def test_never_entangled_returns_zero(self):
         assert critical_temperature_sqm(QuenchSpec(1.0, 3.0, 0.0, 0.0)) == 0.0
 
+    def test_tc_depends_on_the_final_pair_only(self):
+        """The abstract's T_c "rising with the quench distance", as the package computes it.
+
+        With the final pair (k0_f, J_f) fixed, an upward quench from any (k0_i, J_i)
+        has exactly the T_c of the final frequencies; a downward one has it too, or
+        0.0 exactly where 1/T_c lies at or beyond the beta* cut.
+        """
+        k0_f, j_f = 2.0, 1.5
+        w1, w2 = math.sqrt(k0_f), math.sqrt(k0_f + 2 * j_f)
+        tc = critical_temperature(w1, w2).tc_exact
+        assert tc > 0
+        for k0_i in (0.05, 0.5, 1.0, 2.0):
+            for j_i in (-0.02, 0.0, 0.7, 1.5):
+                assert critical_temperature_sqm(QuenchSpec(k0_i, k0_f, j_i, j_f)) == tc
+        outcomes = set()
+        for k0_i in (2.0, 2.01, 2.5, 4.0, 10.0, 100.0):
+            for j_i in (1.5, 1.6, 3.0, 20.0):
+                if (k0_i, j_i) == (k0_f, j_f):
+                    continue
+                # beta* of a mode whose frequency falls from wi to wf, and the admitted cut below it
+                cut = min(math.acosh((wi * wi + wf * wf) / (wi * wi - wf * wf)) / (2 * wf)
+                          for wi, wf in ((math.sqrt(k0_i), w1), (math.sqrt(k0_i + 2 * j_i), w2))
+                          if wi > wf) * (1 - 1e-6)
+                want = tc if 1 / tc < cut else 0.0
+                assert critical_temperature_sqm(QuenchSpec(k0_i, k0_f, j_i, j_f)) == want
+                outcomes.add(want)
+        assert outcomes == {tc, 0.0}
+
     def test_vanishing_temperature_brackets_negativity(self):
         spec = QuenchSpec(1.0, 20.0, 5.0, 5.0)
         t_c = critical_temperature_sqm(spec)

@@ -598,8 +598,22 @@ KERNEL_SIGMA_INDEFINITE = QuadraticKernel(2, 0.3, np.block([
 KERNEL_M_INDEFINITE = QuadraticKernel(1, 0.45, np.array([[0.02, 0.3], [0.3, -0.06]]))
 
 
+# the same quench at omega_min beta = 0.5 (omega_min = sqrt(6), the softer final frequency):
+# the hottest draw of the benchmark's verify ops, where pruning keeps the most rows
+HOT_SIGMA = partial_transpose(coupled_state(QuenchSpec(3, 6, 3, 6), 0.5 / math.sqrt(6.0)))
+
+
+def _max_diagonal(k, grid):
+    """Largest diagonal entry of S_w: w_a K(x_a, x_a) = w_a norm exp(-x_a^T D x_a), D = sum of Q's blocks."""
+    pts, w = oracle._points(k, grid)
+    d = k.dim
+    q = k.q
+    env = q[:d, :d] + q[:d, d:] + q[d:, :d] + q[d:, d:]
+    return float((w * k.norm * np.exp(-np.einsum("ai,ij,aj->a", pts, env, pts))).max())
+
+
 class TestPruning:
-    """Orbits whose rows of S_w lie below 1e-24 of its largest diagonal entry are dropped."""
+    """Orbits are dropped while their bound stays within 2^-53 of the largest diagonal entry of S_w."""
 
     @staticmethod
     def _unpruned(monkeypatch):
@@ -632,6 +646,29 @@ class TestPruning:
             assert np.abs(top - top_ref).max() <= 1e-14 * abs(top_ref[0])
             for value, ref in zip(traces, traces_ref):
                 assert abs(value - ref) <= 1e-14 * abs(ref)
+
+    def test_dropped_norm_within_unit_roundoff(self):
+        # the route cases (the hand-built kernels drop nothing), then rho and sigma of every
+        # seeded state at 48^2 and 56^2 and the hot sigma, which all drop orbits
+        routes = [(k, grid) for k, grid, route in TestSymmetricAndGeneralRoutes.CASES
+                  if route != "refused"]
+        states = [(HOT_SIGMA, QuadratureGrid.for_kernel(HOT_SIGMA, 56))]
+        for spec, beta in _seeded_states():
+            rho = coupled_state(spec, beta)
+            states += [(k, QuadratureGrid.for_kernel(k, n))
+                       for k in (rho, partial_transpose(rho)) for n in (48, 56)]
+        pruned = [oracle._symmetry_blocks(k, grid)[1] for k, grid in routes + states]
+        for (k, grid), dropped in zip(routes + states, pruned):
+            assert dropped <= 2.0 ** -53 * _max_diagonal(k, grid)
+        assert all(pruned[len(routes):])
+        assert sum(p > 0 for p in pruned[:len(routes)]) == 8
+
+    def test_anchor_keeps_fewer_rows_than_the_fixed_cut(self):
+        # a fixed cut of 1e-24 of the largest diagonal entry kept 433, 421, 404 and 416 rows
+        grid = QuadratureGrid.for_kernel(SIGMA_2D, 56)
+        sizes = [len(b) for b in oracle._symmetry_blocks(SIGMA_2D, grid)[0]]
+        assert len(sizes) == 4
+        assert all(size < old for size, old in zip(sizes, (433, 421, 404, 416)))
 
     @pytest.mark.parametrize("n", [33, 40])
     @pytest.mark.parametrize("dim", [1, 2])
