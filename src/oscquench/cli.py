@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .core import (BETA_STAR_MARGIN, ModeQuench, QuenchSpec, beta_star, mode_widths, normal_modes,
+from .core import (ModeQuench, QuenchSpec, beta_star, domain_errors, mode_widths, normal_modes,
                    purity_single)
 from .core import mode_thermo  # noqa: F401  (unused here; bench/test_bench.py looks it up on this module)
 from .errors import DomainError, NumericalFailureError
@@ -191,7 +191,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     values, flags = observables(cfg.quench, temps, [o for o in cfg.observables if o != "tc"])
     if "tc" in cfg.observables:
         values["tc"] = np.full(len(temps), critical_temperature_sqm(cfg.quench))
-    columns = {"T": temps, "beta": 1.0 / temps}
+    with np.errstate(over="ignore"):  # a subnormal T_min gives beta = inf, flagged by ``observables``
+        columns = {"T": temps, "beta": 1.0 / temps}
     for name in cfg.observables:
         columns[name.replace(":", "_")] = values[name]  # renyi:2 -> renyi_2
     provenance = [f"oscquench {__version__}",
@@ -217,12 +218,13 @@ def validate_config(path) -> tuple[bool, list[str]]:
     m1, m2 = normal_modes(cfg.quench)
     report.append(f"ok: normal modes omega1 {m1.omega_i:.6g} -> {m1.omega_f:.6g}, "
                   f"omega2 {m2.omega_i:.6g} -> {m2.omega_f:.6g}")
-    beta_max = 1.0 / cfg.t_min
-    for label, mode in (("mode1", m1), ("mode2", m2)):
-        bs = beta_star(mode)
-        if beta_max >= bs * (1 - BETA_STAR_MARGIN):
-            report.append(f"warning: {label} is a downward quench with beta* = {bs:.6g}; "
-                          f"temperatures below T = {1 / bs:.6g} are out of domain and will be flagged")
+    temps = cfg.temperatures()
+    with np.errstate(over="ignore"):
+        errors = domain_errors((m1, m2), 1.0 / temps)
+    if errors:
+        first = min(errors)
+        report.append(f"warning: {len(errors)} of {cfg.t_points} temperatures are out of domain and will "
+                      f"be flagged; the first, T = {temps[first]:.6g}: {errors[first]}")
     report.append(f"ok: {cfg.t_points} temperatures in [{cfg.t_min}, {cfg.t_max}] ({cfg.scale})")
     return True, report
 

@@ -15,9 +15,10 @@ Gaussian widths of the kernel are
 
 the kernel is the Mehler kernel of omega_f and Z = 1 / (2 sinh(x / 2)).
 omega_i enters only the domain: for a downward quench the paper's b^2
-vanishes at beta*, and inverse temperatures from beta* (1 - BETA_STAR_MARGIN)
-on are refused, as are those below BETA_FLOOR.  All functions are pure;
-units are hbar = k_B = 1.
+vanishes at beta*.  ``domain_errors``, the one rule every caller reads,
+refuses non-finite inverse temperatures, those below BETA_FLOOR and those
+from ``beta_limit`` = beta* (1 - BETA_STAR_MARGIN) on.  All functions are
+pure; units are hbar = k_B = 1.
 """
 
 from __future__ import annotations
@@ -91,14 +92,10 @@ def normal_modes(spec: QuenchSpec) -> tuple[ModeQuench, ModeQuench]:
     """Decouple the two coupled oscillators into their normal modes.
 
     Mode 1 (center of mass) has frequency sqrt(k0); mode 2 (relative) has
-    sqrt(k0 + 2 J).  Raises ``DomainError`` if a radicand is non-positive.
+    sqrt(k0 + 2 J), real since ``QuenchSpec`` refuses k0 + 2 J <= 0 on either side.
     """
-    w2_i_sq = spec.k0_i + 2 * spec.j_i
-    w2_f_sq = spec.k0_f + 2 * spec.j_f
-    if w2_i_sq <= 0 or w2_f_sq <= 0:
-        raise DomainError("second normal-mode frequency is not real", radicands=(w2_i_sq, w2_f_sq))
     mode1 = ModeQuench(math.sqrt(spec.k0_i), math.sqrt(spec.k0_f))
-    mode2 = ModeQuench(math.sqrt(w2_i_sq), math.sqrt(w2_f_sq))
+    mode2 = ModeQuench(math.sqrt(spec.k0_i + 2 * spec.j_i), math.sqrt(spec.k0_f + 2 * spec.j_f))
     return mode1, mode2
 
 
@@ -119,24 +116,33 @@ def _scalar_or_array(v: np.ndarray):
     return float(v) if v.ndim == 0 else v
 
 
-def _check_beta(mode: ModeQuench, beta: float) -> None:
+def beta_limit(mode: ModeQuench) -> float:
+    """beta* (1 - BETA_STAR_MARGIN), the first refused inverse temperature; inf for an upward quench."""
+    return beta_star(mode) * (1 - BETA_STAR_MARGIN)
+
+
+def _refusal(modes, beta: float) -> DomainError:
+    """The ``DomainError`` of the first check that ``beta`` fails."""
+    if not math.isfinite(beta):
+        return DomainError(f"beta must be finite, got {beta}")
     if not beta > 0:
-        raise DomainError(f"beta must be positive, got {beta}")
+        return DomainError(f"beta must be positive, got {beta}")
     if beta < BETA_FLOOR:
-        raise DomainError(f"beta={beta} below floor {BETA_FLOOR}; use analytic high-T limits instead")
+        return DomainError(f"beta={beta} below floor {BETA_FLOOR}; use analytic high-T limits instead")
+    mode = next(m for m in modes if beta >= beta_limit(m))
     bs = beta_star(mode)
-    if beta >= bs * (1 - BETA_STAR_MARGIN):
-        raise DomainError(
-            f"downward quench ({mode.omega_i} -> {mode.omega_f}): b^2 vanishes at beta* = {bs}; "
-            f"requested beta = {beta} is out of domain",
-            beta_star=bs,
-        )
+    return DomainError(f"downward quench ({mode.omega_i} -> {mode.omega_f}): b^2 vanishes at beta* = {bs}; "
+                       f"requested beta = {beta} is out of domain", beta_star=bs)
 
 
-def in_domain(mode: ModeQuench, beta) -> np.ndarray:
-    """Elementwise: the inverse temperatures that ``_check_beta`` accepts."""
-    beta = np.asarray(beta, dtype=float)
-    return (beta >= BETA_FLOOR) & (beta < beta_star(mode) * (1 - BETA_STAR_MARGIN))
+def domain_errors(modes, beta) -> dict[int, DomainError]:
+    """{index: DomainError} for the refused entries of a beta array (a scalar is index 0).
+
+    Admitted: finite, at least BETA_FLOOR and below every mode's ``beta_limit``.
+    """
+    beta = np.asarray(beta, dtype=float).reshape(-1)
+    ok = np.isfinite(beta) & (beta >= BETA_FLOOR) & (beta < min(map(beta_limit, modes)))
+    return {int(i): _refusal(modes, float(beta[i])) for i in np.flatnonzero(~ok)}
 
 
 class Widths(NamedTuple):
@@ -151,7 +157,7 @@ def mode_widths(mode: ModeQuench, beta) -> Widths:
     """a+ = omega_f coth(x/2), a- = omega_f tanh(x/2) and xi = exp(-x), x = omega_f beta.
 
     Elementwise over a beta array.  Nothing is checked: entries outside the
-    domain (see ``in_domain``) are evaluated like any other.
+    domain (see ``domain_errors``) are evaluated like any other.
     """
     wf = mode.omega_f
     x = wf * np.asarray(beta, dtype=float)
@@ -161,7 +167,8 @@ def mode_widths(mode: ModeQuench, beta) -> Widths:
 
 def mode_thermo(mode: ModeQuench, beta: float) -> ModeThermo:
     """Scalar, checked form of ``mode_widths``: raises ``DomainError`` outside the domain."""
-    _check_beta(mode, beta)
+    if errors := domain_errors((mode,), beta):
+        raise errors[0]
     w = mode_widths(mode, beta)
     return ModeThermo(mode=mode, beta=beta, a_plus=float(w.a_plus), a_minus=float(w.a_minus),
                       xi=float(w.xi))

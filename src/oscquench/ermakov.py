@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BETA_STAR_MARGIN, ModeQuench, beta_star
+from .core import ModeQuench, beta_limit, beta_star
 from .errors import DomainError, NumericalFailureError
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
@@ -287,12 +287,12 @@ def solve_euclidean(mode: ModeQuench, beta_max: float, tol: float = 1e-10) -> Er
     at beta*: integrated directly, it keeps b^2 = w (w + 2 omega_i v) and
     Gamma_E = log1p(2 omega_i v / w) / 2 accurate near beta*, where u and
     omega_i v cancel.  For a downward quench a ``DomainError`` carrying
-    ``beta_star`` is raised if beta_max reaches beta*, and a
+    ``beta_star`` is raised if beta_max reaches ``core.beta_limit``, and a
     ``NumericalFailureError`` if b^2 is not positive at an accepted step.
     """
     _check_domain(beta_max, tol, "beta_max")
-    bs = beta_star(mode)
-    if beta_max >= bs * (1 - BETA_STAR_MARGIN):
+    if beta_max >= beta_limit(mode):
+        bs = beta_star(mode)
         raise DomainError(
             f"b^2 vanishes at beta* = {bs} for quench ({mode.omega_i} -> {mode.omega_f}); "
             f"beta_max = {beta_max} is out of domain", beta_star=bs)

@@ -12,7 +12,6 @@ class DomainError(ValueError):
         super().__init__(message)
         for key, value in context.items():
             setattr(self, key, value)
-        self.context = dict(context)
 
 
 class CausticError(DomainError):

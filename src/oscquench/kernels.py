@@ -21,9 +21,9 @@ from .ermakov import sudden_phase_real, sudden_scale_real
 
 _SYM_TOL = 1e-14
 
-# Normal-mode rotation y1 = (x1 + x2)/sqrt(2), y2 = (x1 - x2)/sqrt(2);
-# symmetric and orthogonal, so it is its own inverse and transpose.
-ROT_NORMAL = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+# Normal-mode rotation y1 = (x1 + x2)/sqrt(2), y2 = (x1 - x2)/sqrt(2) of the primed and the unprimed
+# coordinates of a two-particle kernel; symmetric and orthogonal, so its own inverse and transpose.
+_ROT_NORMAL = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1]]) / math.sqrt(2.0)
 
 
 class Alphas(NamedTuple):
@@ -130,10 +130,7 @@ def thermal_rho_coupled(mt1: ModeThermo, mt2: ModeThermo) -> QuadraticKernel:
         q, g = _mode_q1(mt)
         qy[slot, slot] = qy[slot + 2, slot + 2] = q
         qy[slot, slot + 2] = qy[slot + 2, slot] = -g
-    rot = np.zeros((4, 4))
-    rot[:2, :2] = ROT_NORMAL
-    rot[2:, 2:] = ROT_NORMAL
-    qx = rot.T @ qy @ rot
+    qx = _ROT_NORMAL.T @ qy @ _ROT_NORMAL
     norm = math.sqrt(mt1.a_minus * mt2.a_minus) / math.pi
     return QuadraticKernel(2, norm, qx)
 
@@ -142,10 +139,7 @@ def rotate_to_normal_modes(k: QuadraticKernel) -> QuadraticKernel:
     """Express a two-particle kernel over (y1', y2', y1, y2) coordinates."""
     if k.dim != 2:
         raise DomainError("normal-mode rotation requires dim = 2")
-    rot = np.zeros((4, 4))
-    rot[:2, :2] = ROT_NORMAL
-    rot[2:, 2:] = ROT_NORMAL
-    return QuadraticKernel(2, k.norm, rot.T @ k.q @ rot)
+    return QuadraticKernel(2, k.norm, _ROT_NORMAL.T @ k.q @ _ROT_NORMAL)
 
 
 def reduce_substate(rho: QuadraticKernel) -> QuadraticKernel:

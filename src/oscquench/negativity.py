@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BETA_STAR_MARGIN, QuenchSpec, _scalar_or_array, beta_star, mode_thermo,
-                   normal_modes)
+from .core import QuenchSpec, _scalar_or_array, beta_limit, mode_thermo, normal_modes
 from .errors import DomainError, NumericalFailureError
 from .kernels import QuadraticKernel, partial_transpose, thermal_rho_coupled
 
@@ -306,11 +305,11 @@ def critical_temperature_sqm(spec: QuenchSpec) -> float:
     The state at inverse temperature beta is exp(-beta H_f) / Z (see
     :mod:`oscquench.core`), so T_c is that of the final frequency pair,
     ``critical_temperature(omega1_f, omega2_f).tc_exact``.  A downward quench
-    admits only beta < beta* (1 - BETA_STAR_MARGIN); if 1 / T_c lies at or
+    admits only beta below ``core.beta_limit``; if 1 / T_c lies at or
     beyond that cut, the state is separable at every admitted temperature
     and 0.0 is returned.
     """
     m1, m2 = normal_modes(spec)
     tc = critical_temperature(m1.omega_f, m2.omega_f).tc_exact
-    beta_cut = min(beta_star(m1), beta_star(m2)) * (1 - BETA_STAR_MARGIN)
+    beta_cut = min(beta_limit(m1), beta_limit(m2))
     return tc if tc > 0 and 1 / tc < beta_cut else 0.0

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import QuenchSpec, Widths, _check_beta, in_domain, mode_widths, normal_modes, purity_single
+from .core import QuenchSpec, Widths, domain_errors, mode_widths, normal_modes, purity_single
 from .errors import DomainError
 from .negativity import negativity
 from .spectra import _clamp_thermal_ratio, renyi_entropy, von_neumann_entropy
@@ -55,18 +55,17 @@ def observables(spec: QuenchSpec, temps, names) -> tuple[dict[str, np.ndarray], 
     ``names`` holds "purity", "von_neumann", "renyi:<alpha>", "mutual_info"
     and "negativity".  Returns one array per name, nan on flagged rows, and
     one flag per row: "" in domain, else "domain:" and the message of the
-    ``DomainError`` that ``mode_thermo`` raises there.
+    row's ``DomainError`` from ``core.domain_errors``.
     """
-    beta = 1.0 / np.asarray(temps, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):  # T -> 0 and subnormal T give beta = inf
+        beta = 1.0 / np.asarray(temps, dtype=float)
     modes = normal_modes(spec)
-    ok = in_domain(modes[0], beta) & in_domain(modes[1], beta)
+    errors = domain_errors(modes, beta)
     flags = [""] * beta.size
-    for i in np.flatnonzero(~ok):
-        try:
-            for m in modes:
-                _check_beta(m, beta[i])
-        except DomainError as exc:
-            flags[i] = f"domain:{exc}"
+    for i, exc in errors.items():
+        flags[i] = f"domain:{exc}"
+    ok = np.ones(beta.shape, dtype=bool)
+    ok[list(errors)] = False
 
     w1, w2 = (mode_widths(m, beta[ok]) for m in modes)
     r = ladder_ratios(w1, w2)

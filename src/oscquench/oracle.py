@@ -527,12 +527,7 @@ def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None
     err = math.nan
     if with_error:
         n_check = 12 if top_k is None else min(top_k, 12)
-        if k.dim == 1:
-            other = _spectrum_once(k, grid.refined(), top_k)[0]
-        elif grid.n_points * 2 <= ECONOMY_MAX_AXIS:
-            other = _spectrum_once(k, grid.refined(), n_check)[0]
-        else:
-            other = _spectrum_once(k, grid.coarsened(), n_check)[0]
+        other = _spectrum_once(k, _comparison_grid(k, grid), top_k if k.dim == 1 else n_check)[0]
         n_cmp = min(len(ev), len(other), n_check)
         err = float(np.abs(ev[:n_cmp] - other[:n_cmp]).max()) + pruned
         err += _truncation_error(_truncation(k, grid), 1, _trace_once(k, 1, grid)[0])
@@ -540,6 +535,13 @@ def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None
             raise NumericalFailureError(
                 f"spectrum not converged: error estimate {err:.3e} > 10 x tol {tol:.1e}")
     return NumericSpectrum(eigenvalues=ev, error_estimate=err)
+
+
+def _comparison_grid(k: QuadraticKernel, grid: QuadratureGrid) -> QuadratureGrid:
+    """The grid an error estimate compares with: refined, or coarsened if refining passes the 2-d cap."""
+    if k.dim == 2 and grid.n_points * 2 > ECONOMY_MAX_AXIS:
+        return grid.coarsened()
+    return grid.refined()
 
 
 def _diagonal_exponent(k: QuadraticKernel) -> np.ndarray:
@@ -612,10 +614,7 @@ def trace_power(k: QuadraticKernel, p: int, grid: QuadratureGrid,
     value, pruned = _trace_once(k, p, grid)
     err = math.nan
     if with_error:
-        if k.dim == 2 and grid.n_points * 2 > ECONOMY_MAX_AXIS:
-            other = _trace_once(k, p, grid.coarsened())[0]
-        else:
-            other = _trace_once(k, p, grid.refined())[0]
+        other = _trace_once(k, p, _comparison_grid(k, grid))[0]
         err = abs(value - other) + pruned + _truncation_error(_truncation(k, grid), p, value)
         if tol is not None and err > 10 * tol:
             raise NumericalFailureError(

@@ -18,13 +18,13 @@ over a whole temperature grid at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import _scalar_or_array
 from .errors import DomainError, NonFactorizableError
-from .kernels import ROT_NORMAL, QuadraticKernel, reduce_substate, rotate_to_normal_modes
+from .kernels import QuadraticKernel, reduce_substate, rotate_to_normal_modes
 from .special import hermite_n
 
 MAX_EIGENFUNCTION_INDEX = 60
@@ -60,7 +60,6 @@ class BipartiteSpectralData:
     mu1: float
     mu2: float
     lead: float
-    rotation: np.ndarray = field(default_factory=lambda: ROT_NORMAL.copy(), repr=False)
 
     def eigenvalue(self, m: int, n: int) -> float:
         return self.lead * self.xi1**m * self.xi2**n

@@ -154,6 +154,24 @@ class TestValidateConfig:
         ok, report = validate_config(str(path))
         assert not ok and "line" in report[0]
 
+    @pytest.mark.parametrize("t_min, t_max, scale", [(0.5, 5.0, "log"), (1.0, 1e9, "log"), (1e-310, 2.0, "linear")],
+                             ids=["moderate", "T_max_1e9", "T_min_1e-310"])
+    @pytest.mark.parametrize("quench", [(3.0, 6.0, 3.0, 6.0), (5.0, 2.0, 3.0, 1.5), (1.0, 1.0, 1.0, 1.0),
+                                        (1.0, 1.0, -0.45, -0.45)], ids=["up", "down", "const", "negJ"])
+    def test_warning_counts_the_rows_sweep_flags(self, tmp_path, quench, t_min, t_max, scale):
+        cfg = dict(GOOD_CONFIG, quench=dict(zip(("k0_i", "k0_f", "j_i", "j_f"), quench)),
+                   T_min=t_min, T_max=t_max, T_points=4, scale=scale, observables=["purity"])
+        ok, report = validate_config(write_config(tmp_path, cfg))
+        flags = [flag for flag in run_sweep(SweepConfig.from_dict(cfg)).flags if flag]
+        warned = [line for line in report if line.startswith("warning:")]
+        assert ok
+        if not flags:
+            assert warned == []
+            return
+        assert len(warned) == 1
+        assert warned[0].startswith(f"warning: {len(flags)} of 4 temperatures are out of domain")
+        assert warned[0].endswith(": " + flags[0].removeprefix("domain:"))
+
 
 class TestFigurePresets:
     def test_fig1a_files(self, tmp_path):
@@ -234,6 +252,23 @@ class TestMain:
         path = write_config(tmp_path, cfg)
         out = tmp_path / "x.csv"
         assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_DOMAIN
+
+    def test_subnormal_t_min_flags_its_row_without_warnings(self, tmp_path, capsys):
+        # 1 / 1e-310 overflows to beta = inf: that row is refused as non-finite, the others are untouched
+        cfg = dict(GOOD_CONFIG, quench={"k0_i": 3.0, "k0_f": 6.0, "j_i": 3.0, "j_f": 6.0},
+                   T_min=1e-310, T_max=2.0, T_points=4, scale="linear",
+                   observables=["purity", "mutual_info", "negativity", "tc"])
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        lines = out.read_text().splitlines()
+        assert lines[lines.index("T,beta,purity,mutual_info,negativity,tc,warnings") + 1:] == [
+            "1e-310,inf,,,,,domain:beta must be finite, got inf",
+            "0.666666666667,1.5,0.947248717925,0.160730698679,0.280891450065,1.55273475982,",
+            "1.33333333333,0.75,0.667415960026,0.14522989044,0.0751736383239,1.55273475982,",
+            "2,0.5,0.428949209389,0.144030592375,0,1.55273475982,"]
 
     def test_tc_table(self, tmp_path):
         out = tmp_path / "tc.csv"

@@ -6,6 +6,7 @@ import pytest
 from oscquench import (BETA_FLOOR, DomainError, ModeQuench, QuenchSpec, beta_star, mode_thermo,
                        normal_modes, purity_single, sudden_phase_euclidean,
                        sudden_scale_euclidean)
+from oscquench.core import beta_limit, domain_errors
 from conftest import random_valid_quench
 
 
@@ -107,6 +108,26 @@ class TestModeThermo:
         with pytest.raises(DomainError) as exc:
             mode_thermo(mode, bs)
         assert exc.value.beta_star == pytest.approx(bs)
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_non_finite_beta_refused_as_such(self, beta):
+        # an upward quench has beta* = inf: the refusal names the input, not a beta* cut
+        with pytest.raises(DomainError, match="beta must be finite") as exc:
+            mode_thermo(ModeQuench(3, 5), beta)
+        assert "downward" not in str(exc.value)
+
+    def test_domain_errors_name_the_first_failed_check(self):
+        modes = (ModeQuench(3, 5), ModeQuench(5, 3))
+        beta = np.array([0.1, math.inf, -1.0, BETA_FLOOR / 2, beta_star(modes[1]), 0.2])
+        errors = domain_errors(modes, beta)
+        assert sorted(errors) == [1, 2, 3, 4]
+        assert str(errors[1]) == "beta must be finite, got inf"
+        assert str(errors[2]) == "beta must be positive, got -1.0"
+        assert "below floor" in str(errors[3])
+        assert errors[4].beta_star == beta_star(modes[1]) and "(5 -> 3)" in str(errors[4])
+        assert domain_errors(modes, 0.1) == {}
+        assert beta_limit(modes[0]) == math.inf
+        assert beta_limit(modes[1]) == beta_star(modes[1]) * (1 - 1e-6)
 
     def test_beta_star_infinite_for_upward(self):
         assert beta_star(ModeQuench(3, 5)) == math.inf
