@@ -11,7 +11,7 @@ from .core import (BETA_FLOOR, ModeQuench, ModeThermo, QuenchSpec, Widths, beta_
 from .ermakov import (ErmakovSolution, FrequencySchedule, solve_euclidean, solve_real,
                       sudden_phase_euclidean, sudden_phase_real, sudden_scale_euclidean,
                       sudden_scale_real)
-from .errors import (CausticError, DomainError, NonFactorizableError, NumericalFailureError)
+from .errors import CausticError, DomainError, NumericalFailureError
 from .kernels import (Alphas, QuadraticKernel, RealTimeKernelParams, partial_transpose,
                       realtime_kernel_single, reduce_substate, rotate_to_normal_modes,
                       thermal_rho_coupled, thermal_rho_single)
@@ -22,9 +22,8 @@ from .negativity import (ConstFreqPT, CriticalTemp, PTMoments, boundary_g, check
 from .observables import Ratios, ladder_ratios, observables
 from .oracle import (MehlerCheck, NumericSpectrum, QuadratureGrid, kernel_matrix,
                      mehler_check, nystrom_spectrum, trace_power)
-from .spectra import (BipartiteSpectralData, EntropyReport, SpectralData1D,
-                      eigendecompose_1d, eigendecompose_bipartite, eigenfunction_eval,
-                      entropies, mutual_information, normalization_constant, renyi_entropy,
-                      substate_ratio, von_neumann_entropy)
+from .spectra import (BipartiteSpectralData, SpectralData1D, eigendecompose_1d,
+                      eigendecompose_bipartite, eigenfunction_eval, mutual_information,
+                      normalization_constant, renyi_entropy, substate_ratio, von_neumann_entropy)
 
 __version__ = "0.1.0"

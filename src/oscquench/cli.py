@@ -142,7 +142,7 @@ def _csv_text(comments, header, keys, values, flags=None) -> str:
     at once with '%.12g' (the bytes of f"{v:.12g}").  With ``flags`` (one
     string per row, "" on a clean row) the flag is the last cell, and a
     flagged row keeps its ``keys`` cells and leaves its ``values`` cells
-    empty.
+    empty; a flag holding ',' or '"' is quoted, its quotes doubled (RFC 4180).
     """
     def cells(column):
         column = np.asarray(column, dtype=float).tolist()
@@ -156,6 +156,10 @@ def _csv_text(comments, header, keys, values, flags=None) -> str:
             column[i] = ""
         columns.append(column)
     if flags is not None:
+        flags = list(flags)
+        for i in blank:
+            if "," in flags[i] or '"' in flags[i]:
+                flags[i] = '"' + flags[i].replace('"', '""') + '"'
         columns.append(flags)
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
@@ -172,7 +176,6 @@ def _write(path, text: str) -> None:
 class SweepResult:
     """Sweep columns by header name (``T``, ``beta`` and one per observable) and row flags."""
 
-    config: SweepConfig
     values: dict[str, np.ndarray]
     flags: list[str]
     provenance: list[str] = field(default_factory=list)
@@ -198,23 +201,27 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     provenance = [f"oscquench {__version__}",
                   f"a_convention: {A_CONVENTION_NOTE}",
                   f"config: {json.dumps(cfg.to_dict(), sort_keys=True)}"]
-    return SweepResult(config=cfg, values=columns, flags=flags, provenance=provenance)
+    return SweepResult(values=columns, flags=flags, provenance=provenance)
 
 
-def validate_config(path) -> tuple[bool, list[str]]:
-    """Structural and physical validation; returns (ok, report lines)."""
+def validate_config(path) -> tuple[int, list[str]]:
+    """Structural and physical validation; returns (exit code, report lines).
+
+    The exit code is the one ``sweep`` would give the config: ``EXIT_CONFIG``
+    if it is refused, ``EXIT_DOMAIN`` if every temperature would be flagged.
+    """
     report: list[str] = []
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        return False, [f"error: cannot read {path}: {exc}"]
+        return EXIT_CONFIG, [f"error: cannot read {path}: {exc}"]
     except json.JSONDecodeError as exc:
-        return False, [f"error: {path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"]
+        return EXIT_CONFIG, [f"error: {path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"]
     try:
         cfg = SweepConfig.from_dict(data)
     except _CONFIG_ERRORS as exc:
-        return False, [f"error: {exc}"]
+        return EXIT_CONFIG, [f"error: {exc}"]
     m1, m2 = normal_modes(cfg.quench)
     report.append(f"ok: normal modes omega1 {m1.omega_i:.6g} -> {m1.omega_f:.6g}, "
                   f"omega2 {m2.omega_i:.6g} -> {m2.omega_f:.6g}")
@@ -223,10 +230,14 @@ def validate_config(path) -> tuple[bool, list[str]]:
         errors = domain_errors((m1, m2), 1.0 / temps)
     if errors:
         first = min(errors)
+        detail = f"the first, T = {temps[first]:.6g}: {errors[first]}"
+        if len(errors) == cfg.t_points:
+            report.append(f"error: all {cfg.t_points} temperatures are out of domain; {detail}")
+            return EXIT_DOMAIN, report
         report.append(f"warning: {len(errors)} of {cfg.t_points} temperatures are out of domain and will "
-                      f"be flagged; the first, T = {temps[first]:.6g}: {errors[first]}")
+                      f"be flagged; {detail}")
     report.append(f"ok: {cfg.t_points} temperatures in [{cfg.t_min}, {cfg.t_max}] ({cfg.scale})")
-    return True, report
+    return EXIT_OK, report
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +331,6 @@ def figure_preset(name: str, out_dir) -> list[str]:
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="oscquench",
                                  description="Thermal quantities of suddenly quenched coupled oscillators")
-    ap.add_argument("--threads", type=int, default=0,
-                    help="accepted for compatibility and ignored: sweeps run as array code in one thread")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sweep", help="run a temperature sweep from a JSON config")
@@ -346,15 +355,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads < 0:
-        print(f"config error: threads must be >= 0, got {args.threads}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         if args.command == "validate":
-            ok, report = validate_config(args.config)
+            code, report = validate_config(args.config)
             for line in report:
                 print(line)
-            return EXIT_OK if ok else EXIT_CONFIG
+            return code
 
         if args.command == "sweep":
             try:

@@ -19,8 +19,8 @@ with z(0) = 1, z'(0) = i omega(0) gives b = |z| and Gamma = arg z, because
 the Wronskian Im(conj(z) z') = omega(0) is conserved.  In Euclidean time
 u'' = omega_f^2 u and v'' = omega_f^2 v, with (u, u') = (1, 0) and
 (v, v') = (0, 1) at 0, give b^2 = u^2 - omega_i^2 v^2 and
-Gamma_E = artanh(omega_i v / u).  Every schedule (constant, sudden, the
-sinusoidal ramp, tabulated data) is integrated adaptively with DOP853, the
+Gamma_E = artanh(omega_i v / u).  Every schedule (sudden, the sinusoidal
+ramp, tabulated data) is integrated adaptively with DOP853, the
 8th-order Dormand-Prince pair, whose own 7th-order continuous extension
 answers queries between the accepted steps (Hairer, Norsett & Wanner,
 Solving ODEs I, sec. II.6).
@@ -42,8 +42,7 @@ _RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy raises any smaller rtol to this
 
 
 # parameter names per schedule kind; the first ``positive`` of them must be > 0
-_PARAMS = {"constant": (("omega",), 1), "sudden": (("omega_i", "omega_f"), 2),
-           "sinusoidal": (("omega_i", "omega_f", "rate"), 1)}
+_PARAMS = {"sudden": (("omega_i", "omega_f"), 2), "sinusoidal": (("omega_i", "omega_f", "rate"), 1)}
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,8 @@ class FrequencySchedule:
 
     @classmethod
     def constant(cls, omega: float) -> "FrequencySchedule":
-        return cls("constant", (omega,))
+        """omega(t) = omega: the sudden schedule omega -> omega."""
+        return cls.sudden(omega, omega)
 
     @classmethod
     def sudden(cls, omega_i: float, omega_f: float) -> "FrequencySchedule":
@@ -138,8 +138,6 @@ class FrequencySchedule:
 
     def omega_at(self, t):
         """Schedule value used by the integrator (right-continuous at jumps)."""
-        if self.kind == "constant":
-            return self.params[0] if np.isscalar(t) else np.full(np.shape(t), self.params[0])
         if self.kind == "sudden":
             return self.params[1] if np.isscalar(t) else np.full(np.shape(t), self.params[1])
         if self.kind == "sinusoidal":
@@ -150,11 +148,11 @@ class FrequencySchedule:
     def _check_nonnegative(self, t_max: float) -> None:
         """Raise ``DomainError`` if omega(t) < 0 anywhere on [0, t_max].
 
-        Exact, not sampled: tabulated, sudden and constant schedules are
-        positive by construction, and a sinusoidal one takes its minimum at
-        an endpoint or at the first interior point where sin(rate * t) sends
-        omega to omega_i - |omega_f - omega_i|.  A schedule that only touches
-        zero is accepted.
+        Exact, not sampled: tabulated and sudden schedules are positive by
+        construction, and a sinusoidal one takes its minimum at an endpoint
+        or at the first interior point where sin(rate * t) sends omega to
+        omega_i - |omega_f - omega_i|.  A schedule that only touches zero is
+        accepted.
         """
         if self.kind != "sinusoidal":
             return
@@ -183,7 +181,6 @@ class ErmakovSolution:
     state, ``dense`` (a scipy ``OdeSolution``), anywhere in [t[0], t[-1]].
     """
 
-    omega0: float
     t: np.ndarray
     b: np.ndarray
     db: np.ndarray
@@ -276,7 +273,7 @@ def solve_real(schedule: FrequencySchedule, t_max: float, tol: float = 1e-10) ->
         k = np.clip(np.searchsorted(t, tq, side="right") - 1, 0, len(t) - 2)
         return b, (y[0] * y[2] + y[1] * y[3]) / b, gamma[k] + np.angle(np.conj(z[k]) * zq)
 
-    return ErmakovSolution(w0, t, *read(t, sol.y), dense=sol.sol, read=read)
+    return ErmakovSolution(t, *read(t, sol.y), dense=sol.sol, read=read)
 
 
 def solve_euclidean(mode: ModeQuench, beta_max: float, tol: float = 1e-10) -> ErmakovSolution:
@@ -313,7 +310,7 @@ def solve_euclidean(mode: ModeQuench, beta_max: float, tol: float = 1e-10) -> Er
     bad = b2(sol.y) <= 0
     if bad.any():
         raise NumericalFailureError(f"b^2 became non-positive near beta = {sol.t[np.argmax(bad)]}")
-    return ErmakovSolution(wi, sol.t, *read(sol.t, sol.y), dense=sol.sol, read=read)
+    return ErmakovSolution(sol.t, *read(sol.t, sol.y), dense=sol.sol, read=read)
 
 
 def sudden_scale_real(omega_i: float, omega_f: float, t):

@@ -18,14 +18,5 @@ class CausticError(DomainError):
     """Real-time kernel evaluated at a caustic (sin of the phase vanishes)."""
 
 
-class NonFactorizableError(ValueError):
-    """A two-particle kernel does not decouple in normal-mode coordinates.
-
-    Raised by the closed-form bipartite eigensolver for a kernel with cross
-    couplings between the normal-mode coordinates.  Thermal states and their
-    partial transposes never have them.
-    """
-
-
 class NumericalFailureError(RuntimeError):
     """A numerical procedure produced an inconsistent intermediate result."""

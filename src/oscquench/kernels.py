@@ -94,12 +94,6 @@ class QuadraticKernel:
             raise DomainError("1-d coefficient view requires dim = 1")
         return self.q[1, 1], self.q[0, 0], -self.q[0, 1]
 
-    def swap_in_out(self) -> "QuadraticKernel":
-        """Kernel with incoming and outgoing coordinates exchanged."""
-        d = self.dim
-        perm = list(range(d, 2 * d)) + list(range(d))
-        return QuadraticKernel(self.dim, self.norm, self.q[np.ix_(perm, perm)])
-
 
 def _mode_q1(mt: ModeThermo) -> tuple[float, float]:
     """(q, g) of one mode's kernel exponent q x'^2 - 2 g x' x + q x^2.

@@ -48,7 +48,6 @@ _Y0 = 1.1996786402577337
 class ConstFreqPT:
     """Constant-frequency partial-transpose data at one inverse temperature."""
 
-    beta: float
     mu_plus: float
     mu_minus: float
     nu_plus: float
@@ -58,9 +57,6 @@ class ConstFreqPT:
     zeta1: float
     zeta2: float
 
-    def eigenvalue(self, m: int, n: int) -> float:
-        return (1 - self.zeta1) * (1 - self.zeta2) * self.zeta1**m * self.zeta2**n
-
 
 @dataclass(frozen=True)
 class PTMoments:
@@ -68,8 +64,6 @@ class PTMoments:
 
     beta1: float
     beta2: float
-    x1: float
-    x2: float
     u: float
     v: float
     zeta1: float
@@ -92,8 +86,8 @@ def pt_spectrum_const(omega1: float, omega2: float, beta: float) -> ConstFreqPT:
     s1c, s2t = math.sqrt(omega1 * c1), math.sqrt(omega2 * t2)
     zeta1 = -(s1t - s2c) / (s1t + s2c)
     zeta2 = (s1c - s2t) / (s1c + s2t)
-    return ConstFreqPT(beta=beta, mu_plus=mu_p, mu_minus=mu_m, nu_plus=nu_p,
-                       nu_minus=nu_m, eps1=eps1, eps2=eps2, zeta1=zeta1, zeta2=zeta2)
+    return ConstFreqPT(mu_plus=mu_p, mu_minus=mu_m, nu_plus=nu_p, nu_minus=nu_m,
+                       eps1=eps1, eps2=eps2, zeta1=zeta1, zeta2=zeta2)
 
 
 def negativity(zeta1, zeta2):
@@ -133,8 +127,7 @@ def pt_moments(sigma: QuadraticKernel) -> PTMoments:
         # pure product state (zero-temperature limit): spectrum is {1}; both
         # moments at 1 force both ratios to zero (a pure entangled state
         # would keep tr sigma^3 visibly below 1)
-        return PTMoments(beta1=beta1, beta2=beta2, x1=x1, x2=x2,
-                         u=0.0, v=0.0, zeta1=0.0, zeta2=0.0)
+        return PTMoments(beta1=beta1, beta2=beta2, u=0.0, v=0.0, zeta1=0.0, zeta2=0.0)
     den = 2 * (4 * beta1**2 - beta1**2 * beta2 - 3 * beta2)
     if den == 0:
         raise NumericalFailureError("degenerate moment system (denominator vanished)")
@@ -150,8 +143,7 @@ def pt_moments(sigma: QuadraticKernel) -> PTMoments:
             raise NumericalFailureError(f"moment discriminant {disc} below clamp tolerance")
         disc = 0.0
     root = math.sqrt(disc)
-    return PTMoments(beta1=beta1, beta2=beta2, x1=x1, x2=x2, u=u, v=v,
-                     zeta1=(u + root) / 2, zeta2=(u - root) / 2)
+    return PTMoments(beta1=beta1, beta2=beta2, u=u, v=v, zeta1=(u + root) / 2, zeta2=(u - root) / 2)
 
 
 def sigma_for_quench(spec: QuenchSpec, beta: float) -> QuadraticKernel:

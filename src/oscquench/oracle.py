@@ -490,7 +490,7 @@ def _spectrum_once(k: QuadraticKernel, grid: QuadratureGrid, top_k):
 
 
 def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None = None,
-                     with_error: bool = True, tol: float | None = None) -> NumericSpectrum:
+                     with_error: bool = True) -> NumericSpectrum:
     """Eigenvalues of the weighted kernel matrix W^1/2 K W^1/2.
 
     The cross block Q_oi of the exponent must be symmetric, as in every
@@ -516,8 +516,7 @@ def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None
     diagonal envelope exp(-x^T D x), D = Q_oo + Q_oi + Q_oi^T + Q_ii, beyond
     +-L: restricting a positive kernel to the box lowers each eigenvalue by
     at most the trace it loses.  A D that is not positive definite is
-    refused.  With ``tol`` set, an estimate above 10 ``tol`` raises instead
-    of passing silently.
+    refused.
     """
     if k.dim == 2 and grid.n_points > ECONOMY_MAX_AXIS:
         raise DomainError(f"2-d grids capped at {ECONOMY_MAX_AXIS} points per axis")
@@ -531,9 +530,6 @@ def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None
         n_cmp = min(len(ev), len(other), n_check)
         err = float(np.abs(ev[:n_cmp] - other[:n_cmp]).max()) + pruned
         err += _truncation_error(_truncation(k, grid), 1, _trace_once(k, 1, grid)[0])
-        if tol is not None and err > 10 * tol:
-            raise NumericalFailureError(
-                f"spectrum not converged: error estimate {err:.3e} > 10 x tol {tol:.1e}")
     return NumericSpectrum(eigenvalues=ev, error_estimate=err)
 
 
@@ -586,8 +582,7 @@ def _trace_once(k: QuadraticKernel, p: int, grid: QuadratureGrid) -> tuple[float
     return value, p * pruned * (math.sqrt(square) + pruned) ** (p - 1)
 
 
-def trace_power(k: QuadraticKernel, p: int, grid: QuadratureGrid,
-                with_error: bool = True, tol: float | None = None):
+def trace_power(k: QuadraticKernel, p: int, grid: QuadratureGrid, with_error: bool = True):
     """tr K^p for p in {1, 2, 3} by p-fold quadrature contraction.
 
     p = 1 sums the kernel's diagonal, O(m), for any kernel.  For p = 2, 3
@@ -607,7 +602,7 @@ def trace_power(k: QuadraticKernel, p: int, grid: QuadratureGrid,
     For p = 1 in 1-d that term is the missing mass exactly; for p = 2, 3 it
     holds when each of the p points of the integrand is no more spread than
     the diagonal, as for thermal states.  A D that is not positive definite
-    is refused.  With ``tol`` set, an estimate above 10 ``tol`` raises.
+    is refused.
     """
     if p not in (1, 2, 3):
         raise DomainError(f"p must be 1, 2 or 3, got {p}")
@@ -616,9 +611,6 @@ def trace_power(k: QuadraticKernel, p: int, grid: QuadratureGrid,
     if with_error:
         other = _trace_once(k, p, _comparison_grid(k, grid))[0]
         err = abs(value - other) + pruned + _truncation_error(_truncation(k, grid), p, value)
-        if tol is not None and err > 10 * tol:
-            raise NumericalFailureError(
-                f"trace power not converged: error estimate {err:.3e} > 10 x tol {tol:.1e}")
     return value, err
 
 

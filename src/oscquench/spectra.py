@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _scalar_or_array
-from .errors import DomainError, NonFactorizableError
+from .errors import DomainError
 from .kernels import QuadraticKernel, reduce_substate, rotate_to_normal_modes
 from .special import hermite_n
 
@@ -45,9 +45,6 @@ class SpectralData1D:
     def eigenvalues(self, count: int) -> np.ndarray:
         return self.lead * self.xi ** np.arange(count)
 
-    def eigenvalue_sum(self) -> float:
-        return self.lead / (1.0 - self.xi)
-
 
 @dataclass(frozen=True)
 class BipartiteSpectralData:
@@ -66,9 +63,6 @@ class BipartiteSpectralData:
 
     def eigenvalues(self, m_count: int, n_count: int) -> np.ndarray:
         return self.lead * np.outer(self.xi1 ** np.arange(m_count), self.xi2 ** np.arange(n_count))
-
-    def eigenvalue_sum(self) -> float:
-        return self.lead / ((1.0 - self.xi1) * (1.0 - self.xi2))
 
 
 def _solve_gauss_1d(a_in: float, a_out: float, cross: float, norm: float):
@@ -94,7 +88,7 @@ def eigendecompose_bipartite(k: QuadraticKernel) -> BipartiteSpectralData:
     """Factorise a two-particle kernel into per-mode geometric ladders.
 
     Thermal states and their partial transposes decouple in the normal-mode
-    coordinates (x1 +- x2) / sqrt 2.  Raises ``NonFactorizableError`` for a
+    coordinates (x1 +- x2) / sqrt 2.  Raises ``DomainError`` for a
     kernel whose exponent keeps cross couplings between those coordinates,
     such as one built by hand; ``pt_moments`` or the quadrature oracle still
     give its spectrum.
@@ -104,7 +98,7 @@ def eigendecompose_bipartite(k: QuadraticKernel) -> BipartiteSpectralData:
     scale = max(np.abs(q).max(), 1.0)
     coupling = max(abs(q[0, 1]), abs(q[0, 3]), abs(q[2, 1]), abs(q[2, 3]))
     if coupling > 1e-10 * scale:
-        raise NonFactorizableError(
+        raise DomainError(
             f"normal-mode cross couplings remain (|max| = {coupling:.3e}); "
             "kernel does not factorise into single-mode eigenproblems")
     eps1, alpha1, xi1, s1 = _solve_gauss_1d(q[2, 2], q[0, 0], -q[0, 2], 1.0)
@@ -209,31 +203,6 @@ def renyi_entropy(xi, alpha: float):
     return _scalar_or_array(np.where(x == 0, 0.0, s))
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    """Entropies of a bipartite thermal state and its substates."""
-
-    xi1: float
-    xi2: float
-    alpha: float
-    s_renyi_modes: tuple[float, float]
-    s_renyi: float
-    s_von_modes: tuple[float, float]
-    s_von: float
-    zeta: float | None = None
-    s_sub: float | None = None
-    mutual: float | None = None
-
-
-def entropies(xi1: float, xi2: float, alpha: float = 2.0) -> EntropyReport:
-    """Per-mode and total Renyi/von Neumann entropies from the two ladders."""
-    s_a = (renyi_entropy(xi1, alpha), renyi_entropy(xi2, alpha))
-    s_v = (von_neumann_entropy(xi1), von_neumann_entropy(xi2))
-    return EntropyReport(xi1=xi1, xi2=xi2, alpha=alpha,
-                         s_renyi_modes=s_a, s_renyi=sum(s_a),
-                         s_von_modes=s_v, s_von=sum(s_v))
-
-
 def _clamp_thermal_ratio(x):
     """Zero out rounding-level negatives of a mathematically non-negative ratio (elementwise)."""
     x = np.asarray(x, dtype=float)
@@ -251,14 +220,8 @@ def substate_ratio(rho: QuadraticKernel) -> float:
     return _clamp_thermal_ratio(eigendecompose_1d(reduce_substate(rho)).xi)
 
 
-def mutual_information(rho: QuadraticKernel, alpha: float = 2.0) -> EntropyReport:
+def mutual_information(rho: QuadraticKernel) -> float:
     """Total correlations I = S_A + S_B - S_AB of a bipartite thermal kernel."""
     sd = eigendecompose_bipartite(rho)
-    rep = entropies(_clamp_thermal_ratio(sd.xi1), _clamp_thermal_ratio(sd.xi2), alpha)
-    zeta = substate_ratio(rho)
-    s_sub = von_neumann_entropy(zeta)
-    mutual = 2 * s_sub - rep.s_von
-    return EntropyReport(xi1=rep.xi1, xi2=rep.xi2, alpha=alpha,
-                         s_renyi_modes=rep.s_renyi_modes, s_renyi=rep.s_renyi,
-                         s_von_modes=rep.s_von_modes, s_von=rep.s_von,
-                         zeta=zeta, s_sub=s_sub, mutual=mutual)
+    s_ab = sum(von_neumann_entropy(_clamp_thermal_ratio(xi)) for xi in (sd.xi1, sd.xi2))
+    return 2 * von_neumann_entropy(substate_ratio(rho)) - s_ab

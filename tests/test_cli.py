@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import warnings
@@ -23,6 +24,25 @@ def write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def _csv_rows(text):
+    """The header and data rows of a CSV as a strict reader parses them."""
+    return list(csv.reader(line for line in text.splitlines() if not line.startswith("#")))
+
+
+@pytest.fixture(autouse=True)
+def every_csv_is_rectangular(monkeypatch):
+    """Every CSV a test here writes has as many fields in each row as in its header."""
+    writer = cli._csv_text
+
+    def checked(*args, **kwargs):
+        text = writer(*args, **kwargs)
+        header, *rows = _csv_rows(text)
+        assert all(len(row) == len(header) for row in rows), text
+        return text
+
+    monkeypatch.setattr(cli, "_csv_text", checked)
 
 
 class TestSweepConfig:
@@ -132,44 +152,60 @@ class TestRunSweep:
 
 class TestValidateConfig:
     def test_valid_config(self, tmp_path):
-        ok, report = validate_config(write_config(tmp_path, GOOD_CONFIG))
-        assert ok
+        code, report = validate_config(write_config(tmp_path, GOOD_CONFIG))
+        assert code == EXIT_OK
         assert any("normal modes" in line for line in report)
 
     def test_imaginary_mode_rejected(self, tmp_path):
         bad = dict(GOOD_CONFIG, quench={"k0_i": 1.0, "k0_f": 1.0, "j_i": -0.6, "j_f": -0.6})
-        ok, report = validate_config(write_config(tmp_path, bad))
-        assert not ok
+        code, report = validate_config(write_config(tmp_path, bad))
+        assert code == EXIT_CONFIG
         assert "error" in report[0]
 
     def test_downward_quench_warns(self, tmp_path):
-        cfg = dict(GOOD_CONFIG, quench={"k0_i": 4.0, "k0_f": 1.0, "j_i": 0.0, "j_f": 0.0})
-        ok, report = validate_config(write_config(tmp_path, cfg))
-        assert ok
+        # beta* = acosh(5/3) / 2: the rows below T = 1.82 are flagged, the rest computed
+        cfg = dict(GOOD_CONFIG, quench={"k0_i": 4.0, "k0_f": 1.0, "j_i": 0.0, "j_f": 0.0}, T_max=5.0)
+        code, report = validate_config(write_config(tmp_path, cfg))
+        assert code == EXIT_OK
         assert any("beta*" in line and "warning" in line for line in report)
+        # on [0.5, 1] every row is flagged, so sweep would fail: validate says so
+        code, report = validate_config(write_config(tmp_path, dict(cfg, T_max=1.0)))
+        assert code == EXIT_DOMAIN
+        assert any("beta*" in line and line.startswith("error:") for line in report)
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        ok, report = validate_config(str(path))
-        assert not ok and "line" in report[0]
+        code, report = validate_config(str(path))
+        assert code == EXIT_CONFIG and "line" in report[0]
 
-    @pytest.mark.parametrize("t_min, t_max, scale", [(0.5, 5.0, "log"), (1.0, 1e9, "log"), (1e-310, 2.0, "linear")],
-                             ids=["moderate", "T_max_1e9", "T_min_1e-310"])
+    @pytest.mark.parametrize("t_min, t_max, scale", [(0.5, 5.0, "log"), (1.0, 1e9, "log"), (1e-310, 2.0, "linear"),
+                                                     (0.05, 0.5, "linear")],
+                             ids=["moderate", "T_max_1e9", "T_min_1e-310", "cold"])
     @pytest.mark.parametrize("quench", [(3.0, 6.0, 3.0, 6.0), (5.0, 2.0, 3.0, 1.5), (1.0, 1.0, 1.0, 1.0),
-                                        (1.0, 1.0, -0.45, -0.45)], ids=["up", "down", "const", "negJ"])
-    def test_warning_counts_the_rows_sweep_flags(self, tmp_path, quench, t_min, t_max, scale):
+                                        (1.0, 1.0, -0.45, -0.45), (4.0, 1.0, 0.0, 0.0)],
+                             ids=["up", "down", "const", "negJ", "steep_down"])
+    def test_warning_counts_the_rows_sweep_flags(self, tmp_path, capsys, quench, t_min, t_max, scale):
         cfg = dict(GOOD_CONFIG, quench=dict(zip(("k0_i", "k0_f", "j_i", "j_f"), quench)),
                    T_min=t_min, T_max=t_max, T_points=4, scale=scale, observables=["purity"])
-        ok, report = validate_config(write_config(tmp_path, cfg))
+        path = write_config(tmp_path, cfg)
+        code = main(["sweep", "--config", path, "--out", str(tmp_path / "x.csv")])
+        assert main(["validate", "--config", path]) == code
+        capsys.readouterr()
+        validated, report = validate_config(path)
+        assert validated == code
         flags = [flag for flag in run_sweep(SweepConfig.from_dict(cfg)).flags if flag]
-        warned = [line for line in report if line.startswith("warning:")]
-        assert ok
+        warned = [line for line in report if line.startswith(("warning:", "error:"))]
         if not flags:
-            assert warned == []
+            assert code == EXIT_OK and warned == []
             return
         assert len(warned) == 1
-        assert warned[0].startswith(f"warning: {len(flags)} of 4 temperatures are out of domain")
+        if len(flags) == 4:  # sweep computes no row and exits with EXIT_DOMAIN
+            assert code == EXIT_DOMAIN
+            assert warned[0].startswith("error: all 4 temperatures are out of domain")
+        else:
+            assert code == EXIT_OK
+            assert warned[0].startswith(f"warning: {len(flags)} of 4 temperatures are out of domain")
         assert warned[0].endswith(": " + flags[0].removeprefix("domain:"))
 
 
@@ -220,22 +256,20 @@ class TestMain:
         text = out.read_text()
         assert text.startswith("# oscquench")
 
-    def test_sweep_threads_byte_identical(self, tmp_path):
-        cfg_path = write_config(tmp_path, GOOD_CONFIG)
-        out1, out8 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["--threads", "1", "sweep", "--config", cfg_path, "--out", str(out1)]) == EXIT_OK
-        assert main(["--threads", "8", "sweep", "--config", cfg_path, "--out", str(out8)]) == EXIT_OK
-        assert out1.read_bytes() == out8.read_bytes()
-
     def test_negative_threads_refused(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, GOOD_CONFIG)
         out = tmp_path / "x.csv"
-        assert main(["--threads", "-3", "sweep", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
-        assert "threads must be >= 0" in capsys.readouterr().err
-        assert not out.exists()
         neg = write_config(tmp_path, dict(GOOD_CONFIG, threads=-3))
         assert main(["sweep", "--config", neg, "--out", str(out)]) == EXIT_CONFIG
         assert "threads must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threads_is_a_config_key_not_an_option(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, dict(GOOD_CONFIG, threads=2))
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "1", "sweep", "--config", cfg_path, "--out", str(out)])
+        assert exc.value.code == 2 and "oscquench: error:" in capsys.readouterr().err
 
     def test_config_error_exit(self, tmp_path):
         bad = write_config(tmp_path, dict(GOOD_CONFIG, observables=["nope"]))
@@ -265,10 +299,12 @@ class TestMain:
         assert capsys.readouterr().err == ""
         lines = out.read_text().splitlines()
         assert lines[lines.index("T,beta,purity,mutual_info,negativity,tc,warnings") + 1:] == [
-            "1e-310,inf,,,,,domain:beta must be finite, got inf",
+            '1e-310,inf,,,,,"domain:beta must be finite, got inf"',
             "0.666666666667,1.5,0.947248717925,0.160730698679,0.280891450065,1.55273475982,",
             "1.33333333333,0.75,0.667415960026,0.14522989044,0.0751736383239,1.55273475982,",
             "2,0.5,0.428949209389,0.144030592375,0,1.55273475982,"]
+        # a strict CSV reader reads the flag back as one cell
+        assert _csv_rows(out.read_text())[1][-1] == "domain:beta must be finite, got inf"
 
     def test_tc_table(self, tmp_path):
         out = tmp_path / "tc.csv"
@@ -382,6 +418,8 @@ def _per_cell_csv(comments, header, keys, values, flags=None):
         flag = "" if flags is None else flags[i]
         cells = [f"{float(k[i]):.12g}" for k in keys]
         cells += ["" if flag else f"{float(v[i]):.12g}" for v in values]
+        if "," in flag or '"' in flag:
+            flag = '"' + flag.replace('"', '""') + '"'
         lines.append(",".join(cells + ([] if flags is None else [flag])))
     return "\n".join(lines) + "\n"
 

@@ -23,15 +23,6 @@ class TestQuadraticKernel:
         with pytest.raises(DomainError):
             QuadraticKernel(1, 1.0, np.array([[1.0, 0.5], [0.2, 1.0]]))
 
-    def test_swap_identity(self, rho_36):
-        al = rho_36.alphas()
-        sw = rho_36.swap_in_out().alphas()
-        assert sw.a1 == pytest.approx(al.a2, rel=1e-14)
-        assert sw.a2 == pytest.approx(al.a1, rel=1e-14)
-        assert sw.a3 == pytest.approx(al.a4, rel=1e-14)
-        assert sw.a4 == pytest.approx(al.a3, rel=1e-14)
-        assert sw.a5 == al.a5 and sw.a6 == al.a6
-
     def test_eval_kernel(self):
         k = QuadraticKernel(1, 2.0, np.array([[1.0, -0.25], [-0.25, 0.5]]))
         v = k.evaluate(0.3, -0.7)
