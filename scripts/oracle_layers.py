@@ -5,10 +5,15 @@ Usage: python scripts/oracle_layers.py
 The process pins itself to one CPU and caps the BLAS pools at one thread
 before numpy loads.  The kernel is the partial transpose sigma of the
 3->6/3->6 quench at beta = 0.6, on its ``QuadratureGrid.for_kernel`` grid.
-Four layers are timed on their own: assembly of the symmetry blocks (one
-per character of the kernel's grid symmetry group, four for sigma), the
-ARPACK top-12 eigensolve of every block, and the p = 2 and p = 3 trace
-contractions of the blocks; so are the public calls that chain them.
+The layers are timed on their own: the reading of the kernel's quadratic
+forms (``_forms``, once per public call), assembly of the symmetry blocks
+(one per character of the kernel's grid symmetry group, four for sigma),
+split into its per-call set-up (everything before the first row tile:
+orbits, row bounds, pruning, row and column terms, buffers) and the tiles
+(``assembly_tiles``, the median of the whole assembly less that of the
+set-up), the ARPACK top-12 eigensolve of every block, and the p = 2 and
+p = 3 trace contractions of the blocks; so are the public calls that
+chain them.
 The blocks hold only the node orbits that the oracle's pruning rule
 keeps: it drops the rest only while its bound on their Frobenius norm
 stays at or below u = 2^-53 times the largest diagonal entry of S_w.  The
@@ -17,7 +22,7 @@ and that bound as a share of the largest diagonal entry
 (``pruned_over_max_diag``, at most 2^-53 = 1.1e-16) for rho and for
 sigma, and counts the eigensolve's matvecs per block of sigma (``dsymv``
 calls on one triangle of the block).
-The ``hot`` record times the same four layers on the hot sigma: the same
+The ``hot`` record times the same layers on the hot sigma: the same
 quench at omega_min beta = 0.5 (omega_min the softer final frequency), the
 low end of the benchmark's ``verify`` draws, on 56 nodes per axis, and
 gives its kept block sizes and pruning bound the same way.  There pruning
@@ -141,7 +146,7 @@ def _matvec_counts(blocks) -> list[int]:
     try:
         for block in blocks:
             counts.append(0)
-            oracle._parity_eigvals([block], TOP_K)
+            oracle._block_eigvals([block], TOP_K)
     finally:
         scipy.linalg.blas.dsymv = dsymv
     return counts
@@ -149,11 +154,49 @@ def _matvec_counts(blocks) -> list[int]:
 
 def _kept(k, grid) -> tuple[list, float]:
     """The symmetry blocks of ``k`` on ``grid`` and their pruning bound over max diag S_w."""
-    blocks, pruned = oracle._symmetry_blocks(k, grid)
+    f = oracle._forms(k, blocks=True, estimate=False)
+    blocks, pruned = oracle._symmetry_blocks(f, grid)
     # the diagonal of S_w is that of W^1/2 K W^1/2: norm w_a exp(-x_a^T D x_a)
-    pts, w = oracle._points(k, grid)
-    max_diag = k.norm * (w * np.exp(-oracle._quad(pts, oracle._diagonal_exponent(k)))).max()
+    pts, w = oracle._points(f.dim, grid)
+    max_diag = f.norm * (w * np.exp(-oracle._quad(pts, f.diag))).max()
     return blocks, pruned / max_diag
+
+
+class _FirstTile(Exception):
+    """Stops ``_symmetry_blocks`` at its first row tile."""
+
+
+def _assembly_setup(f, grid) -> None:
+    """``_symmetry_blocks`` up to its first row tile: everything it does once per call."""
+    assemble = oracle._assemble
+
+    def stop(*args, **kwargs):
+        raise _FirstTile
+
+    oracle._assemble = stop
+    try:
+        oracle._symmetry_blocks(f, grid)
+    except _FirstTile:
+        pass
+    finally:
+        oracle._assemble = assemble
+
+
+def _layers(k, grid) -> dict:
+    """Timings of each layer of the oracle's work on ``k`` at ``grid``."""
+    f = oracle._forms(k, blocks=True, estimate=False)
+    blocks = oracle._symmetry_blocks(f, grid)[0]
+    times = {name: _timed(fn) for name, fn in {
+        "kernel_reading": lambda: oracle._forms(k, blocks=True, estimate=True),
+        "assembly": lambda: oracle._symmetry_blocks(f, grid),
+        "assembly_setup": lambda: _assembly_setup(f, grid),
+        "top12_eigensolve": lambda: oracle._block_eigvals(blocks, TOP_K),
+        "p2_contraction": lambda: oracle._block_trace(blocks, 2),
+        "p3_contraction": lambda: oracle._block_trace(blocks, 3),
+    }.items()}
+    times["assembly_tiles"] = {
+        "median_ms": times["assembly"]["median_ms"] - times["assembly_setup"]["median_ms"]}
+    return times
 
 
 def main() -> None:
@@ -169,15 +212,6 @@ def main() -> None:
     blocks = kept["sigma"][0]
 
     import scipy
-
-    def layers(k, grid):
-        blocks = oracle._symmetry_blocks(k, grid)[0]
-        return {
-            "assembly": lambda: oracle._symmetry_blocks(k, grid),
-            "top12_eigensolve": lambda: oracle._parity_eigvals(blocks, TOP_K),
-            "p2_contraction": lambda: oracle._parity_trace(blocks, 2),
-            "p3_contraction": lambda: oracle._parity_trace(blocks, 3),
-        }
 
     hot_beta = HOT_OMEGA_BETA / min(m1.omega_f, m2.omega_f)
     hot = oq.partial_transpose(
@@ -234,10 +268,10 @@ def main() -> None:
         "ermakov_problem": {"quench": ERMAKOV_QUENCH, "t_max": T_MAX, "beta_max": BETA_MAX,
                             "steps": {name: fn()[1] for name, fn in ermakov.items()}},
         "grid": grids,
-        "layers": {name: _timed(fn) for name, fn in layers(sigma, grid).items()},
+        "layers": _layers(sigma, grid),
         "hot": {"kernel": "sigma", "spec": SPEC, "omega_min_beta": HOT_OMEGA_BETA, "beta": hot_beta,
                 "kept_block_sizes": [len(b) for b in hot_blocks], "pruned_over_max_diag": hot_bound,
-                "layers": {name: _timed(fn) for name, fn in layers(hot, hot_grid).items()}},
+                "layers": _layers(hot, hot_grid)},
         "calls": {name: _timed(fn) for name, fn in calls.items()},
         "ermakov": {name: _timed(fn) for name, fn in ermakov.items()},
         "separability": {name: {**_timed(fn, calls=SEPARABILITY_CALLS), "root_passes": _root_passes(fn)}

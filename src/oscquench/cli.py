@@ -121,6 +121,9 @@ class SweepConfig:
         if not isinstance(qd, dict) or set(qd) != _QUENCH_KEYS:
             raise DomainError(f"quench must be an object with keys {sorted(_QUENCH_KEYS)}")
         quench = QuenchSpec(*(_number(key, qd[key]) for key in ("k0_i", "k0_f", "j_i", "j_f")))
+        # a JSON string would otherwise be split into one-letter observables
+        if not isinstance(data["observables"], list):
+            raise DomainError(f"observables must be a list of names, got {data['observables']!r}")
         return cls(quench=quench, t_min=_number("T_min", data["T_min"]), t_max=_number("T_max", data["T_max"]),
                    t_points=_number("T_points", data["T_points"], integer=True),
                    scale=data.get("scale", "linear"), observables=tuple(data["observables"]),

@@ -23,7 +23,8 @@ Gamma_E = artanh(omega_i v / u).  Every schedule (sudden, the sinusoidal
 ramp, tabulated data) is integrated adaptively with DOP853, the
 8th-order Dormand-Prince pair, whose own 7th-order continuous extension
 answers queries between the accepted steps (Hairer, Norsett & Wanner,
-Solving ODEs I, sec. II.6).
+Solving ODEs I, sec. II.6); in real time it is built only for the steps
+a query lands in.
 """
 
 from __future__ import annotations
@@ -178,7 +179,9 @@ class ErmakovSolution:
     maps times and states to (b, b', gamma); ``t, b, db, gamma`` are its
     values at the accepted DOP853 steps.  ``b_at``, ``db_at`` and
     ``gamma_at`` apply it to DOP853's 7th-order continuous extension of the
-    state, ``dense`` (a scipy ``OdeSolution``), anywhere in [t[0], t[-1]].
+    state anywhere in [t[0], t[-1]]: ``dense(k)`` gives that of step
+    [t[k], t[k+1]].  A query at t[k] itself reads step k - 1, as scipy's
+    ``OdeSolution`` does.
     """
 
     t: np.ndarray
@@ -189,13 +192,26 @@ class ErmakovSolution:
     read: object = field(repr=False, compare=False)
 
     def _eval(self, tq, row: int):
+        t = self.t
+        if np.ndim(tq) == 0:
+            x = float(tq)
+            if x < t[0] - 1e-12 or x > t[-1] + 1e-12:
+                raise DomainError(f"query time outside solution range [{t[0]}, {t[-1]}]")
+            # as one element of an array: numpy's scalar complex product can differ from
+            # its array loop in the last bit, and a value should not depend on the query's shape
+            one = np.array([min(max(x, t[0]), t[-1])])
+            k = min(max(int(t.searchsorted(one[0])) - 1, 0), len(t) - 2)
+            return float(self.read(one, self.dense(k)(one))[row][0])
         tq = np.asarray(tq, dtype=float)
-        if np.any(tq < self.t[0] - 1e-12) or np.any(tq > self.t[-1] + 1e-12):
-            raise DomainError(f"query time outside solution range [{self.t[0]}, {self.t[-1]}]")
-        # OdeSolution takes only a scalar or a non-empty 1-d array
-        flat = np.clip(tq, self.t[0], self.t[-1]).ravel()
-        out = self.read(flat, self.dense(flat))[row] if flat.size else flat
-        return float(out[0]) if tq.ndim == 0 else out.reshape(tq.shape)
+        if np.any(tq < t[0] - 1e-12) or np.any(tq > t[-1] + 1e-12):
+            raise DomainError(f"query time outside solution range [{t[0]}, {t[-1]}]")
+        flat = np.clip(tq, t[0], t[-1])
+        step = np.clip(np.searchsorted(t, flat) - 1, 0, len(t) - 2)
+        out = np.empty(tq.shape)
+        for k in np.unique(step):
+            at = step == k
+            out[at] = self.read(flat[at], self.dense(k)(flat[at]))[row]
+        return out
 
     def b_at(self, tq):
         return self._eval(tq, 0)
@@ -214,8 +230,8 @@ def _check_domain(t_end: float, tol: float, name: str) -> None:
         raise DomainError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
 
 
-def _integrate(rhs, t_end, tol, y0):
-    """DOP853 over [0, t_end] from the linear state y0, with dense output.
+def _integrate(rhs, t_end, tol, y0, lazy: bool):
+    """DOP853 over [0, t_end] from the linear state y0: accepted times, states and dense output.
 
     rtol = atol = tol / 100, with rtol floored at scipy's 100 eps, and no
     step cap.  Against the closed forms over three periods of the sudden quench
@@ -228,16 +244,54 @@ def _integrate(rhs, t_end, tol, y0):
     periods of a sudden omega_i -> 2 at the default tol (20001 points),
     gamma is off by 1.2e-11 at omega_i = 1.3, 1.9e-8 at 1e-3 and 1.9e-5 at
     1e-6, and b by 3.7e-9 relative at the last two.
+
+    ``dense(k)`` is the continuous extension of step k, which costs three
+    more right-hand-side evaluations per step.  Without ``lazy`` the run
+    builds it for every step; with ``lazy`` only for the last one, and
+    ``dense(k)`` re-takes any other step from t[k] with the first step
+    t[k+1] - t[k], which repeats the run's stages, and keeps its extension
+    for later queries.  t[k] + (t[k+1] - t[k]) lands on t[k+1] because the
+    run's step did, barring a tie in the last bit that no solve has shown;
+    a re-take that ends elsewhere raises ``NumericalFailureError``.  The run
+    clamped its last step to t_end, where t[k] + (t_end - t[k]) can round
+    short (in 3 of the Euclidean solves of 1000 benchmark ``verify``
+    cycles), so that step is never re-taken.  A re-take costs about four
+    times building the extension in the run: it pays where a solve has
+    many more steps than queried ones.  (Where omega varies in time, the
+    run took a step's first stage at t[k-1] + (t[k] - t[k-1]), which is
+    t[k] whenever t[k] <= 2 t[k-1].)  scipy's compiled ``ode("dop853")``
+    would be faster, but scipy 1.17.1 keeps a reference to its right-hand
+    side on every call, so each solve would leak its closures.
     """
     # imported here, not at module level: scipy costs the CLI, which never
     # integrates, most of its start-up time and memory
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import DOP853
 
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853",
-                    rtol=max(tol / 100, _RTOL_FLOOR), atol=tol / 100, dense_output=True)
-    if not sol.success:
-        raise NumericalFailureError(f"integration failed near t = {sol.t[-1]}: {sol.message}")
-    return sol
+    rtol, atol = max(tol / 100, _RTOL_FLOOR), tol / 100
+    t_end = float(t_end)
+    solver = DOP853(rhs, 0.0, y0, t_end, rtol=rtol, atol=atol)
+    ts, ys, steps = [0.0], [solver.y], {}
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise NumericalFailureError(f"integration failed near t = {solver.t}: {message}")
+        ts.append(solver.t)
+        ys.append(solver.y)
+        if not lazy or solver.status == "finished":
+            steps[len(ts) - 2] = solver.dense_output()
+    t, y = np.array(ts), np.array(ys).T
+
+    def dense(k):
+        if k not in steps:
+            retake = DOP853(rhs, t[k], y[:, k], t_end, rtol=rtol, atol=atol, first_step=t[k + 1] - t[k])
+            retake.step()
+            if retake.t != t[k + 1]:
+                raise NumericalFailureError(
+                    f"step [{t[k]}, {t[k + 1]}] taken again ended at t = {retake.t}: {retake.status}")
+            steps[k] = retake.dense_output()
+        return steps[k]
+
+    return t, y, dense
 
 
 def solve_real(schedule: FrequencySchedule, t_max: float, tol: float = 1e-10) -> ErmakovSolution:
@@ -252,14 +306,16 @@ def solve_real(schedule: FrequencySchedule, t_max: float, tol: float = 1e-10) ->
     _check_domain(t_max, tol, "t_max")
     schedule._check_nonnegative(t_max)
     w0 = schedule.omega_initial
+    # a sudden schedule is omega_f at every t the integrator asks for
+    wf2 = schedule.params[1] ** 2 if schedule.kind == "sudden" else None
 
     def rhs(t, y):
-        w2 = schedule.omega_at(t) ** 2
+        w2 = schedule.omega_at(t) ** 2 if wf2 is None else wf2
         return [y[2], y[3], -w2 * y[0], -w2 * y[1]]
 
-    sol = _integrate(rhs, t_max, tol, [1.0, 0.0, 0.0, w0])
-    t = sol.t
-    z = sol.y[0] + 1j * sol.y[1]
+    # about 35 steps per period (104 over three of 1.3 -> 2.7) against a few queried ones
+    t, y, dense = _integrate(rhs, t_max, tol, [1.0, 0.0, 0.0, w0], lazy=True)
+    z = y[0] + 1j * y[1]
     step = np.angle(np.conj(z[:-1]) * z[1:])
     bad = ~((step > 0) & (step < math.pi))
     if bad.any():
@@ -273,7 +329,7 @@ def solve_real(schedule: FrequencySchedule, t_max: float, tol: float = 1e-10) ->
         k = np.clip(np.searchsorted(t, tq, side="right") - 1, 0, len(t) - 2)
         return b, (y[0] * y[2] + y[1] * y[3]) / b, gamma[k] + np.angle(np.conj(z[k]) * zq)
 
-    return ErmakovSolution(t, *read(t, sol.y), dense=sol.sol, read=read)
+    return ErmakovSolution(t, *read(t, y), dense=dense, read=read)
 
 
 def solve_euclidean(mode: ModeQuench, beta_max: float, tol: float = 1e-10) -> ErmakovSolution:
@@ -306,11 +362,12 @@ def solve_euclidean(mode: ModeQuench, beta_max: float, tol: float = 1e-10) -> Er
         b = np.sqrt(b2(y))
         return b, (w * dw + wi * (dw * v + w * dv)) / b, 0.5 * np.log1p(2 * wi * v / w)
 
-    sol = _integrate(rhs, beta_max, tol, [1.0, -wi, 0.0, 1.0])
-    bad = b2(sol.y) <= 0
+    # few steps (a median of 10 on the benchmark's draws), most of them queried
+    t, y, dense = _integrate(rhs, beta_max, tol, [1.0, -wi, 0.0, 1.0], lazy=False)
+    bad = b2(y) <= 0
     if bad.any():
-        raise NumericalFailureError(f"b^2 became non-positive near beta = {sol.t[np.argmax(bad)]}")
-    return ErmakovSolution(sol.t, *read(sol.t, sol.y), dense=sol.sol, read=read)
+        raise NumericalFailureError(f"b^2 became non-positive near beta = {t[np.argmax(bad)]}")
+    return ErmakovSolution(t, *read(t, y), dense=dense, read=read)
 
 
 def sudden_scale_real(omega_i: float, omega_f: float, t):

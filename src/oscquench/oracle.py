@@ -1,13 +1,15 @@
 """Independent numerical verification of Gaussian kernels by quadrature.
 
 Everything here consumes only the (dim, norm, Q) data of a kernel — never
-the closed-form spectral formulas it is used to check.  Integral operators
-are discretised on Gauss-Legendre nodes (Nystrom method); traces and trace
-powers are quadrature contractions.  Their error estimates add two parts:
-the change under grid refinement, and a bound on the kernel's mass beyond
-the grid's half-width L, which refinement keeps and so cannot see.  The
-rule on [-1, 1] is computed once per node count and kept read-only; every
-grid scales its own copy by L.
+the closed-form spectral formulas it is used to check — and ``_forms``
+reads it once per public call.  Integral operators are discretised on
+Gauss-Legendre nodes (Nystrom method); traces and trace powers are
+quadrature contractions.  One rule (``_error_estimate``) gives both their
+error estimates: the change under grid refinement, plus the bound for the
+rows dropped as negligible (below), plus a bound on the kernel's mass
+beyond the grid's half-width L, which refinement keeps and so cannot see.
+The rule on [-1, 1] is computed once per node count and kept read-only;
+every grid scales its own copy by L.
 
 A kernel norm * exp(-v^T Q v), v = (out, in), has the blocks Q_oo, Q_oi and
 Q_ii.  Spectra and tr K^p for p = 2, 3 need Q_oi symmetric, so that the
@@ -180,9 +182,9 @@ class NumericSpectrum:
     error_estimate: float
 
 
-def _points(k: QuadraticKernel, grid: QuadratureGrid):
+def _points(dim: int, grid: QuadratureGrid):
     """Quadrature points as an (m, dim) array and their weights."""
-    if k.dim == 1:
+    if dim == 1:
         return grid.nodes[:, None], grid.weights
     x1, x2 = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
     pts = np.column_stack([x1.ravel(), x2.ravel()])
@@ -212,7 +214,7 @@ def kernel_matrix(k: QuadraticKernel, grid: QuadratureGrid):
     The oracle itself never builds this m x m matrix; it is the direct
     reference, for any Q_oi, that its symmetry blocks are checked against.
     """
-    p, w = _points(k, grid)
+    p, w = _points(k.dim, grid)
     d = k.dim
     ones = np.ones(len(p))
     left = np.column_stack([p, -_quad(p, k.q[:d, :d]), ones])
@@ -225,17 +227,75 @@ def kernel_matrix(k: QuadraticKernel, grid: QuadratureGrid):
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+class _Forms(NamedTuple):
+    """What the oracle reads of a kernel, derived once per public call by ``_forms``."""
+
+    dim: int
+    norm: float
+    # D of the diagonal K(x, x) = norm exp(-x^T D x), and diag D^-1 for an error estimate
+    diag: np.ndarray
+    spread: np.ndarray | None
+    # M and sym(Q_oi) of the exponent of S_w, averaged over the exchange when it holds
+    exchange: bool
+    big_m: np.ndarray | None
+    q_oi: np.ndarray | None
+    # Sigma = M - Q_oi M^-1 Q_oi of the row bounds; None prunes nothing
+    sigma: np.ndarray | None
+
+
+def _forms(k: QuadraticKernel, *, blocks: bool, estimate: bool) -> _Forms:
+    """The quadratic forms of ``k`` that the oracle works with, read off its (dim, norm, Q) alone.
+
+    D = Q_oo + Q_oi + Q_oi^T + Q_ii always.  With ``blocks`` (spectra and
+    tr K^p, p = 2, 3): M = (Q_oo + Q_ii)/2 and sym(Q_oi), refused unless
+    Q_oi is symmetric to 1e-12 of max |Q|; the exchange x1 <-> x2, kept (and
+    the pair averaged over it) when a 2-d kernel's M and Q_oi commute with
+    it to that tolerance; and Sigma = M - Q_oi M^-1 Q_oi, None when M or
+    Sigma is not positive definite.  Sigma takes the pair before the
+    average, which could move a row bound within an ulp of the cut across
+    it.  With ``estimate``: diag D^-1; a D that is not positive definite,
+    whose tr K diverges, is refused.
+    """
+    d, q = k.dim, k.q
+    diag = q[:d, :d] + q[:d, d:] + q[d:, :d] + q[d:, d:]
+    big_m = q_sym = sigma = spread = None
+    exchange = False
+    if blocks:
+        tol = _SYM_TOL * max(np.abs(q).max(), 1.0)
+        q_oi = q[:d, d:]
+        asym = np.abs(q_oi - q_oi.T).max()
+        if asym > tol:
+            raise DomainError(f"cross block Q_oi is asymmetric by {asym:.3e} (> {tol:.1e}): "
+                              "not the kernel of a Hermitian state or its partial transpose")
+        big_m = (q[:d, :d] + q[d:, d:]) / 2
+        q_sym = (q_oi + q_oi.T) / 2
+        if np.linalg.eigvalsh(big_m).min() > 0:
+            schur = big_m - q_sym @ np.linalg.solve(big_m, q_sym)
+            if np.linalg.eigvalsh(schur).min() > 0:
+                sigma = schur
+        if d == 2:
+            m_x, q_x = _SWAP @ big_m @ _SWAP, _SWAP @ q_sym @ _SWAP
+            if max(np.abs(big_m - m_x).max(), np.abs(q_sym - q_x).max()) <= tol:
+                big_m, q_sym = (big_m + m_x) / 2, (q_sym + q_x) / 2
+                exchange = True
+    if estimate:
+        if np.linalg.eigvalsh(diag).min() <= 0:
+            raise DomainError("the kernel's diagonal exp(-x^T D x) has D not positive definite; tr K diverges")
+        spread = np.diag(np.linalg.inv(diag))
+    return _Forms(d, k.norm, diag, spread, exchange, big_m, q_sym, sigma)
+
+
 @functools.lru_cache(maxsize=None)
 def _orbits(n_points: int, dim: int, exchange: bool):
     """Read-only node orbits of {I, P} (with ``exchange``, {I, P, X, PX}) on a grid of ``n_points`` per axis.
 
     Returns the coordinate maps G_h of the group elements in binary order
-    (bit j of an element's index marks generator j: P, then X), one
-    representative per orbit (its lowest flat node index), ``fixes[h, r]``
-    (element h fixes representative r), C-ordered, and the stabiliser
-    orders |Stab r|.  The representatives are ordered X-fixed, free,
-    PX-fixed, centre ({I, P}: free, centre), so that the ones each character
-    keeps form one run.  All of it depends on the grid's size only.
+    (bit j of an element's index marks generator j: P, then X), the axis
+    indices of one representative per orbit (its lowest flat node index),
+    ``fixes[h, r]`` (h fixes r), C-ordered, the stabiliser orders |Stab r|,
+    and ``minus[c, h]``: chi_c(h) = (-1)^popcount(c & h) is -1.  The
+    representatives are ordered X-fixed, free, PX-fixed, centre ({I, P}:
+    free, centre), so that the ones each character keeps form one run.
     """
     m = n_points ** dim
     # generators as (node permutation, coordinate map); P reverses the flat index on either grid
@@ -255,91 +315,65 @@ def _orbits(n_points: int, dim: int, exchange: bool):
         rank = rank - fixes[2]
     order = np.argsort(rank, kind="stable")
     reps, fixes = reps[order], np.ascontiguousarray(fixes[:, order])
+    axes = np.stack(np.unravel_index(reps, (n_points,) * dim), axis=1)
     maps = np.array(maps)
     stab = fixes.sum(axis=0)
-    for arr in (maps, reps, fixes, stab):
+    n = len(maps)
+    minus = np.array([[bin(c & h).count("1") % 2 == 1 for h in range(n)] for c in range(n)])
+    for arr in (maps, axes, fixes, stab, minus):
         arr.flags.writeable = False
-    return maps, reps, fixes, stab
+    return maps, axes, fixes, stab, minus
 
 
-def _symmetry_blocks(k: QuadraticKernel, grid: QuadratureGrid):
+def _symmetry_blocks(f: _Forms, grid: QuadratureGrid):
     """Blocks of the symmetric S_w = D^-1 W^1/2 K W^1/2 D, one per character of its symmetry group.
 
     With M = (Q_oo + Q_ii)/2 the exponent is x'Mx' + 2x'Q_oi x + xMx
     + e(x') - e(x), e(x) = x(Q_oo - Q_ii)x/2, so the e terms are the
     diagonal similarity D = diag(exp(-e)), and S_w is symmetric exactly when
     Q_oi is.  The group is generated by node involutions g, x_{g a} = G x_a,
-    that leave S_w invariant: the parity P (G = -1) always, and for a 2-d
-    kernel whose M and Q_oi commute with the exchange x1 <-> x2 to 1e-12 of
-    max |Q|, the exchange X too.  Over one representative r per node orbit,
+    that leave S_w invariant: the parity P (G = -1) always, and the exchange
+    X when ``f`` keeps it.  Over one representative r per node orbit,
     T_h[r, s] = S_w[r, h s] is ``_assemble`` with the cross block Q_oi G_h,
     and the character chi has the block
     sum_h chi(h) T_h[r, s] / sqrt(|Stab r| |Stab s|) on the representatives
-    whose stabiliser chi fixes (any other row vanishes).  The orbits whose
-    row bound g_r from ``_row_bounds`` lies below
-    log(u max diag S_w) - log(sqrt(2) m), u = 2^-53 and m the grid's node
-    count, are dropped first.
+    whose stabiliser chi fixes (any other row vanishes).  The orbits below
+    the cut of ``_row_bounds`` are dropped first.
 
-    The orbits, their representatives and stabilisers depend on the grid's
-    size only and come from ``_orbits``, computed once per size.  The
-    representatives are ordered X-fixed, free, PX-fixed, centre (free,
-    centre on {I, P}), so that each character keeps one run [start, stop)
-    of them, possibly empty (a 0 x 0 block); pruning drops whole orbits and
-    keeps the order.  The blocks lie one after another, C-contiguous, at the
-    front of one buffer.  Rows are taken in tiles of _TILE_ENTRIES // rows:
-    per tile, one ``_assemble`` per group element h folds the row terms into
-    the product, the butterfly runs in place on the tiles, and each
-    character's rows of its run are copied into its block.
+    The orbit data come from ``_orbits``, once per grid size, and the
+    representatives' nodes and weights are read off the grid's axes.  Each
+    character keeps one run [start, stop) of the representatives, possibly
+    empty (a 0 x 0 block); pruning drops whole orbits and keeps the order.
+    The blocks are C-contiguous and filled in row tiles of
+    _TILE_ENTRIES // rows (see the module docstring).
 
     Returns the blocks and the bound sqrt(2 m |J|) max_J exp(g) on the
     Frobenius norm of the dropped rows and columns J (0 when nothing is
-    dropped; by the cut, at most u max diag S_w).  A Q_oi that is not
-    symmetric to 1e-12 of max |Q| is refused
-    before anything is assembled.
+    dropped; by the cut, at most u max diag S_w).
     """
-    d = k.dim
-    q = k.q
-    tol = _SYM_TOL * max(np.abs(q).max(), 1.0)
-    q_oi = q[:d, d:]
-    asym = np.abs(q_oi - q_oi.T).max()
-    if asym > tol:
-        raise DomainError(f"cross block Q_oi is asymmetric by {asym:.3e} (> {tol:.1e}): "
-                          "not the kernel of a Hermitian state or its partial transpose")
-    big_m = (q[:d, :d] + q[d:, d:]) / 2
-    q_sym = (q_oi + q_oi.T) / 2
-    exchange = False
-    if d == 2:
-        m_x, q_x = _SWAP @ big_m @ _SWAP, _SWAP @ q_sym @ _SWAP
-        if max(np.abs(big_m - m_x).max(), np.abs(q_sym - q_x).max()) <= tol:
-            big_m, q_sym = (big_m + m_x) / 2, (q_sym + q_x) / 2
-            exchange = True
-    maps, reps, fixes, stab = _orbits(grid.n_points, d, exchange)
-    p, w = _points(k, grid)
-    m = len(w)
-    p, w = p[reps], w[reps]
-    n_orbits = len(reps)
+    maps, axes, fixes, stab, minus = _orbits(grid.n_points, f.dim, f.exchange)
+    m, n, n_orbits = grid.n_points ** f.dim, len(maps), len(axes)
+    p, w = grid.nodes[axes], np.prod(grid.weights[axes], axis=1)
     # drop the orbits whose rows are negligible; w and the bound are orbit-invariant
     pruned = 0.0
-    bounds = _row_bounds(k, p, w, m)
+    bounds = _row_bounds(f, p, w, m)
     if bounds is not None:
         bound, cut = bounds
         keep = bound >= cut
         if not keep.all():
-            orbit = len(maps) // stab[~keep]
+            orbit = n // stab[~keep]
             pruned = math.sqrt(2 * m * orbit.sum()) * math.exp(bound[~keep].max())
             # ``compress`` keeps ``fixes`` C-ordered, where fancy indexing would not
             p, w, fixes, stab = p[keep], w[keep], fixes.compress(keep, axis=1), stab[keep]
     # the norm and the weights enter as sqrt(norm w_r) sqrt(norm w_s), the stabilisers as above
-    h = 0.5 * (math.log(k.norm) + np.log(w) - np.log(stab)) - _quad(p, big_m)
+    h = 0.5 * (math.log(f.norm) + np.log(w) - np.log(stab)) - _quad(p, f.big_m)
     # T_e[r, s] = exp(left[r] . right[e][:, s]) with right[e][:, s] = [-2 Q_oi G_e p_s, 1, h_s]
     ones = np.ones(len(h))
     left = np.column_stack([p, h, ones])
-    right = [np.vstack([-2.0 * q_sym @ g @ p.T, ones, h]) for g in maps]
+    right = [np.vstack([-2.0 * f.q_oi @ g @ p.T, ones, h]) for g in maps]
     # character c keeps a representative when it is +1 on every element that fixes it;
     # by the order above its kept set is the run [start, stop) of the representatives
-    n = len(maps)
-    signs = np.array([[(-1) ** bin(b & c).count("1") for b in range(n)] for c in range(n)])
-    kept = ~((signs < 0) @ fixes)
+    kept = ~(minus @ fixes)
     sizes = kept.sum(axis=1)
     starts = np.where(sizes > 0, kept.argmax(axis=1), 0)
     runs = np.stack([starts, starts + sizes], axis=1).tolist()
@@ -379,40 +413,31 @@ def _symmetry_blocks(k: QuadraticKernel, grid: QuadratureGrid):
     return blocks, pruned
 
 
-def _row_bounds(k: QuadraticKernel, pts: np.ndarray, w: np.ndarray, m: int | None = None):
+def _row_bounds(f: _Forms, pts: np.ndarray, w: np.ndarray, m: int):
     """Bounds g with |S_w[r, s]| <= exp(g_r) for every s, and the cut log(u max_r S_w[r, r] / (sqrt(2) m)).
 
     Over the points ``pts`` of weights ``w``, which hold the grid's largest
-    weight, on a grid of ``m`` nodes (``len(pts)`` by default; the orbit
-    representatives stand for all m).  Dropping the nodes J below the cut
-    leaves sqrt(2 m |J|) max_J exp(g) <= sqrt(2) m max_J exp(g) below
-    u = 2^-53 times the largest diagonal entry, so below u |S_w|_2.
-    log |S_w[r, s]| is 1/2 log(norm w_r) + 1/2 log(norm w_s)
+    weight, on a grid of ``m`` nodes (the orbit representatives stand for
+    all m).  Dropping the nodes J below the cut leaves sqrt(2 m |J|) max_J
+    exp(g) <= sqrt(2) m max_J exp(g) below u = 2^-53 times the largest
+    diagonal entry, so below u |S_w|_2.  log |S_w[r, s]| is
+    1/2 log(norm w_r) + 1/2 log(norm w_s)
     - (p_r, p_s) [[M, Q_oi], [Q_oi, M]] (p_r, p_s), and its maximum over p_s
     in R^d is reached at -M^-1 Q_oi p_r when M is positive definite, so
     g_r = 1/2 log(norm w_r) + 1/2 max log(norm w) - p_r^T Sigma p_r with
-    Sigma = M - Q_oi M^-1 Q_oi.  The diagonal is norm w_r exp(-p_r^T D p_r),
-    D from ``_diagonal_exponent``.  ``None`` (prune nothing) when M or
-    Sigma is not positive definite.
+    Sigma = M - Q_oi M^-1 Q_oi.  The diagonal is norm w_r exp(-p_r^T D p_r).
+    ``None`` (prune nothing) without Sigma.
     """
-    d = k.dim
-    q = k.q
-    big_m = (q[:d, :d] + q[d:, d:]) / 2
-    if np.linalg.eigvalsh(big_m).min() <= 0:
+    if f.sigma is None:
         return None
-    q_sym = (q[:d, d:] + q[d:, :d]) / 2
-    sigma = big_m - q_sym @ np.linalg.solve(big_m, q_sym)
-    if np.linalg.eigvalsh(sigma).min() <= 0:
-        return None
-    log_nw = math.log(k.norm) + np.log(w)
-    g = 0.5 * (log_nw + log_nw.max()) - _quad(pts, sigma)
-    m = len(pts) if m is None else m
-    log_diag = float((log_nw - _quad(pts, _diagonal_exponent(k))).max())
+    log_nw = math.log(f.norm) + np.log(w)
+    g = 0.5 * (log_nw + log_nw.max()) - _quad(pts, f.sigma)
+    log_diag = float((log_nw - _quad(pts, f.diag)).max())
     return g, log_diag + _LOG_NEGLIGIBLE - math.log(math.sqrt(2.0) * m)
 
 
-def _parity_eigvals(blocks, top_k) -> np.ndarray:
-    """Eigenvalues of each block, its top ``top_k`` by |lambda| if set, unsorted.
+def _block_eigvals(blocks, top_k) -> np.ndarray:
+    """Eigenvalues of each symmetry block, its top ``top_k`` by |lambda| if set, unsorted.
 
     Lanczos sees a block only through its matvec, ``dsymv`` on one triangle:
     half the memory traffic of a general product.  The transpose of a
@@ -450,8 +475,8 @@ def _parity_eigvals(blocks, top_k) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _parity_trace(blocks, p: int) -> tuple[float, float]:
-    """tr S_w^p, p in {2, 3}, and tr S_w^2, as sums over the blocks."""
+def _block_trace(blocks, p: int) -> tuple[float, float]:
+    """tr S_w^p, p in {2, 3}, and tr S_w^2, as sums over the symmetry blocks."""
     if p == 2:
         square = float(sum(np.vdot(b, b) for b in blocks))
         return square, square
@@ -468,20 +493,16 @@ def _parity_trace(blocks, p: int) -> tuple[float, float]:
     return float(cube), float(square)
 
 
-def _spectrum_once(k: QuadraticKernel, grid: QuadratureGrid, top_k):
-    """Eigenvalues sorted by |lambda| descending (the top ``top_k`` if set), and the dropped norm.
-
-    The dropped norm bounds the Frobenius norm of the rows and columns of
-    S_w that were dropped as negligible.
-    """
-    m = grid.n_points ** k.dim
+def _spectrum_once(f: _Forms, grid: QuadratureGrid, top_k):
+    """Eigenvalues by |lambda| descending (the top ``top_k`` if set), and the bound on the dropped rows' norm."""
+    m = grid.n_points ** f.dim
     if top_k is None and m > FULL_EIG_MAX:
         raise DomainError(
             f"dense eigensolve capped at {FULL_EIG_MAX} nodes (got {m}); pass top_k for economy mode")
     # scipy is imported inside the functions that use it, not at module level: it
     # costs the CLI, which never calls the oracle, most of its start-up time and memory
-    blocks, pruned = _symmetry_blocks(k, grid)
-    ev = _parity_eigvals(blocks, top_k)
+    blocks, pruned = _symmetry_blocks(f, grid)
+    ev = _block_eigvals(blocks, top_k)
     # the dropped rows and columns are zero, and so are their eigenvalues
     want = m if top_k is None else min(top_k, m)
     if len(ev) < want:
@@ -489,95 +510,77 @@ def _spectrum_once(k: QuadraticKernel, grid: QuadratureGrid, top_k):
     return ev[np.argsort(-np.abs(ev))][:top_k], pruned
 
 
+def _error_estimate(f: _Forms, grid: QuadratureGrid, change: float, dropped: float, p: int,
+                    value: float) -> float:
+    """The error estimate of ``nystrom_spectrum`` and ``trace_power``: change + dropped + truncation.
+
+    ``change`` is the change on the comparison grid and ``dropped`` the
+    bound for the rows and columns of S_w dropped as negligible.  The
+    truncation term |value| ((1 - tau)^-p - 1) bounds the part of tr K^p
+    beyond +-L given ``value`` inside: x_i of the diagonal envelope
+    exp(-x^T D x) is Gaussian with variance (D^-1)_ii / 2, so
+    tau = sum_i erfc(L / sqrt((D^-1)_ii)) bounds its share outside
+    [-L, L]^d (exactly for d = 1), and if each of the p points of the
+    integrand lies in the box with probability at least 1 - tau, all p do
+    with probability at least (1 - tau)^p (Gaussian correlation inequality).
+    A spectrum takes p = 1 and tr K: restricting a positive kernel to the
+    box lowers each eigenvalue by at most the trace it loses.
+    """
+    tau = sum(math.erfc(grid.half_width / math.sqrt(v)) for v in f.spread)
+    truncated = abs(value) * math.expm1(-p * math.log1p(-tau)) if tau < 1 else math.inf
+    return change + dropped + truncated
+
+
 def nystrom_spectrum(k: QuadraticKernel, grid: QuadratureGrid, top_k: int | None = None,
                      with_error: bool = True) -> NumericSpectrum:
     """Eigenvalues of the weighted kernel matrix W^1/2 K W^1/2.
 
-    The cross block Q_oi of the exponent must be symmetric, as in every
-    kernel the package builds (Hermitian states and their partial
-    transposes); then W^1/2 K W^1/2 = D S_w D^-1 with S_w symmetric and D
-    diagonal, and an asymmetric Q_oi is refused.  On a QuadratureGrid the
-    centred kernel makes S_w invariant under the parity P, and a two-mode
-    kernel of the package also under the exchange X, so the spectrum is the
-    union of those of one block per character of {I, P} or {I, P, X, PX}
-    (see the module docstring): symmetric eigensolves (Lanczos per block for
-    ``top_k``), real by construction.  The node orbits whose rows and
-    columns of S_w provably have a Frobenius norm of at most 2^-53 times its
-    largest diagonal entry are dropped first (see the module docstring): the
-    eigenvalues are those of S_w with the dropped rows and columns set to
-    zero, padded with zeros where fewer than asked for remain.
+    The cross block Q_oi must be symmetric, as in every kernel the package
+    builds (Hermitian states and their partial transposes); an asymmetric
+    one is refused.  The spectrum is the union of those of the symmetry
+    blocks of S_w (see the module docstring), from symmetric eigensolves
+    (Lanczos per block for ``top_k``), real by construction: that of S_w
+    with the rows and columns dropped as negligible set to zero, padded
+    with zeros where fewer than asked for remain.
 
     Returns min(``top_k``, m) eigenvalues sorted by |lambda| descending, all
-    m without ``top_k``; ``top_k`` < 1 is refused.  The error estimate is
-    the change of the leading eigenvalues on a refined or coarsened grid,
-    plus the bound on the Frobenius norm of the dropped rows and columns
-    (by Weyl, no eigenvalue moves further), plus tau / (1 - tau) |tr K|,
-    with tau the bound on the share of the
-    diagonal envelope exp(-x^T D x), D = Q_oo + Q_oi + Q_oi^T + Q_ii, beyond
-    +-L: restricting a positive kernel to the box lowers each eigenvalue by
-    at most the trace it loses.  A D that is not positive definite is
-    refused.
+    m without ``top_k``; ``top_k`` < 1 is refused.  The error estimate
+    (``_error_estimate``) takes the change of the leading eigenvalues, and
+    the bound on the Frobenius norm of the dropped rows and columns, by
+    which (Weyl) no eigenvalue moves further.  A D that is not positive
+    definite is refused for it.
     """
     if k.dim == 2 and grid.n_points > ECONOMY_MAX_AXIS:
         raise DomainError(f"2-d grids capped at {ECONOMY_MAX_AXIS} points per axis")
     if top_k is not None and top_k < 1:
         raise DomainError(f"top_k must be >= 1, got {top_k}")
-    ev, pruned = _spectrum_once(k, grid, top_k)
+    f = _forms(k, blocks=True, estimate=with_error)
+    ev, pruned = _spectrum_once(f, grid, top_k)
     err = math.nan
     if with_error:
         n_check = 12 if top_k is None else min(top_k, 12)
-        other = _spectrum_once(k, _comparison_grid(k, grid), top_k if k.dim == 1 else n_check)[0]
+        other = _spectrum_once(f, _comparison_grid(f.dim, grid), top_k if f.dim == 1 else n_check)[0]
         n_cmp = min(len(ev), len(other), n_check)
-        err = float(np.abs(ev[:n_cmp] - other[:n_cmp]).max()) + pruned
-        err += _truncation_error(_truncation(k, grid), 1, _trace_once(k, 1, grid)[0])
+        change = float(np.abs(ev[:n_cmp] - other[:n_cmp]).max())
+        err = _error_estimate(f, grid, change, pruned, 1, _trace_once(f, 1, grid)[0])
     return NumericSpectrum(eigenvalues=ev, error_estimate=err)
 
 
-def _comparison_grid(k: QuadraticKernel, grid: QuadratureGrid) -> QuadratureGrid:
+def _comparison_grid(dim: int, grid: QuadratureGrid) -> QuadratureGrid:
     """The grid an error estimate compares with: refined, or coarsened if refining passes the 2-d cap."""
-    if k.dim == 2 and grid.n_points * 2 > ECONOMY_MAX_AXIS:
+    if dim == 2 and grid.n_points * 2 > ECONOMY_MAX_AXIS:
         return grid.coarsened()
     return grid.refined()
 
 
-def _diagonal_exponent(k: QuadraticKernel) -> np.ndarray:
-    """D of the kernel's diagonal K(x, x) = norm exp(-x^T D x)."""
-    d = k.dim
-    q = k.q
-    return q[:d, :d] + q[:d, d:] + q[d:, :d] + q[d:, d:]
-
-
-def _truncation(k: QuadraticKernel, grid: QuadratureGrid) -> float:
-    """Bound tau on the share of the diagonal envelope exp(-x^T D x) outside [-L, L]^d.
-
-    Coordinate x_i of the envelope is Gaussian with variance (D^-1)_ii / 2, so
-    tau = sum_i erfc(L / sqrt((D^-1)_ii)), exact for d = 1.  A D that is not
-    positive definite has no finite trace and is refused.
-    """
-    env = _diagonal_exponent(k)
-    if np.linalg.eigvalsh(env).min() <= 0:
-        raise DomainError("the kernel's diagonal exp(-x^T D x) has D not positive definite; tr K diverges")
-    return sum(math.erfc(grid.half_width / math.sqrt(v)) for v in np.diag(np.linalg.inv(env)))
-
-
-def _truncation_error(tau: float, p: int, value: float) -> float:
-    """|value| ((1 - tau)^-p - 1): the part of tr K^p outside the box, given ``value`` inside it.
-
-    If each of the p points of the Gaussian integrand lies in the box with
-    probability at least 1 - tau, all p do with probability at least
-    (1 - tau)^p (Gaussian correlation inequality).
-    """
-    return abs(value) * math.expm1(-p * math.log1p(-tau)) if tau < 1 else math.inf
-
-
-def _trace_once(k: QuadraticKernel, p: int, grid: QuadratureGrid) -> tuple[float, float]:
+def _trace_once(f: _Forms, p: int, grid: QuadratureGrid) -> tuple[float, float]:
     """tr K^p on ``grid`` and a bound on its change from the rows and columns of S_w dropped as negligible."""
     if p == 1:
         # tr K = sum_a w_a K(x_a, x_a): the diagonal alone, O(m) for any kernel
-        pts, w = _points(k, grid)
-        return float(k.norm * np.dot(w, np.exp(-_quad(pts, _diagonal_exponent(k))))), 0.0
-    blocks, pruned = _symmetry_blocks(k, grid)
-    value, square = _parity_trace(blocks, p)
+        pts, w = _points(f.dim, grid)
+        return float(f.norm * np.dot(w, np.exp(-_quad(pts, f.diag)))), 0.0
+    blocks, pruned = _symmetry_blocks(f, grid)
+    value, square = _block_trace(blocks, p)
     # |tr (S + E)^p - tr S^p| <= p |E| (|S| + |E|)^(p - 1) in the Frobenius norm
     return value, p * pruned * (math.sqrt(square) + pruned) ** (p - 1)
 
@@ -587,30 +590,26 @@ def trace_power(k: QuadraticKernel, p: int, grid: QuadratureGrid, with_error: bo
 
     p = 1 sums the kernel's diagonal, O(m), for any kernel.  For p = 2, 3
     the cross block Q_oi must be symmetric (an asymmetric one is refused),
-    and the symmetry blocks B_chi of S_w are contracted (see
-    ``nystrom_spectrum``): tr S_w^2 = sum |B_chi|^2, and tr S_w^3 =
-    sum tr B_chi^3 by one symmetric rank-k product per block, m^3/16 flops
-    in all for a two-mode kernel of the package, fewer for the node orbits
-    dropped as negligible (see the module docstring).
+    and the symmetry blocks B_chi of S_w are contracted (see the module
+    docstring): tr S_w^2 = sum |B_chi|^2, and tr S_w^3 = sum tr B_chi^3 by
+    one symmetric rank-k product per block.
 
-    Returns ``(value, error_estimate)``.  The estimate is the change under
-    grid refinement (halved grid for large 2-d problems), plus
-    p |E| (|S| + |E|)^(p-1) for the dropped rows and columns E of S_w
-    (Frobenius norms, S with E set to zero), plus
-    |value| ((1 - tau)^-p - 1), with tau the bound on the share of the
-    diagonal envelope exp(-x^T D x) beyond +-L (see ``nystrom_spectrum``).
-    For p = 1 in 1-d that term is the missing mass exactly; for p = 2, 3 it
-    holds when each of the p points of the integrand is no more spread than
-    the diagonal, as for thermal states.  A D that is not positive definite
-    is refused.
+    Returns ``(value, error_estimate)``.  The estimate (``_error_estimate``)
+    takes the change of the value, and p |E| (|S| + |E|)^(p-1) for the
+    dropped rows and columns E of S_w (Frobenius norms, S with E set to
+    zero).  Its truncation term is the missing mass exactly for p = 1 in
+    1-d; for p = 2, 3 it holds when each of the p points of the integrand
+    is no more spread than the diagonal, as for thermal states.  A D that
+    is not positive definite is refused for it.
     """
     if p not in (1, 2, 3):
         raise DomainError(f"p must be 1, 2 or 3, got {p}")
-    value, pruned = _trace_once(k, p, grid)
+    f = _forms(k, blocks=p > 1, estimate=with_error)
+    value, pruned = _trace_once(f, p, grid)
     err = math.nan
     if with_error:
-        other = _trace_once(k, p, _comparison_grid(k, grid))[0]
-        err = abs(value - other) + pruned + _truncation_error(_truncation(k, grid), p, value)
+        other = _trace_once(f, p, _comparison_grid(f.dim, grid))[0]
+        err = _error_estimate(f, grid, abs(value - other), pruned, p, value)
     return value, err
 
 

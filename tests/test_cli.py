@@ -374,8 +374,11 @@ class TestMain:
         ({"T_points": "3.9"}, "T_points must be an integer, got '3.9'"),
         ({"threads": None}, "threads must be a number, got None"),
         ({"observables": ["purity", 5]}, "unknown observable 5"),
+        # a string is refused, not split into the observables 'p', 'u', ...
+        ({"observables": "purity"}, "observables must be a list of names, got 'purity'"),
     ], ids=["T_max_inf", "T_points_fraction", "threads_inf", "renyi_inf", "renyi_nan", "j_f_inf",
-            "k0_i_null", "k0_i_text", "T_points_text", "threads_null", "observable_number"])
+            "k0_i_null", "k0_i_text", "T_points_text", "threads_null", "observable_number",
+            "observables_text"])
     def test_non_finite_or_fractional_config_refused(self, tmp_path, capsys, change, field):
         path = write_config(tmp_path, dict(GOOD_CONFIG, **change))
         out = tmp_path / "x.csv"

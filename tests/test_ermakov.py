@@ -161,6 +161,20 @@ class TestDenseOutput:
         assert sol_e.b_at(1.0) == pytest.approx(sudden_scale_euclidean(self.WI, self.WF, 1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("wi, wf, t_max", [(2.255013606652227, 0.7251563274048723, 0.15543414727263064),
+                                            (1.02113752910553, 0.5778630890800708, 0.4888084943649635)])
+def test_query_in_a_last_step_whose_length_rounds_off_t_max(wi, wf, t_max):
+    # the run clamped its last step to t_max, and t[k] + (t_max - t[k]) rounds off t_max:
+    # taking that step again from t[k] with that length would end elsewhere
+    sol = solve_real(FrequencySchedule.sudden(wi, wf), t_max)
+    t = sol.t
+    k = len(t) - 2
+    assert t[k] + (t[k + 1] - t[k]) != t[k + 1]
+    ts = np.linspace(t[k], t[k + 1], 5)
+    assert np.abs(np.array([sol.b_at(x) for x in ts]) - sudden_scale_real(wi, wf, ts)).max() < 1e-12
+    assert np.abs(sol.gamma_at(ts) - sudden_phase_real(wi, wf, ts)).max() < 1e-12
+
+
 class TestSolveEuclidean:
     def test_sudden_matches_closed_form(self):
         mode = ModeQuench(3.0, 5.0)

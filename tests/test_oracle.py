@@ -122,6 +122,22 @@ def _spy_assemble(monkeypatch):
     return calls
 
 
+def _forms(k):
+    """The oracle's reading of ``k`` as a spectrum without error estimate takes it."""
+    return oracle._forms(k, blocks=True, estimate=False)
+
+
+def _blocks(k, grid):
+    """``_symmetry_blocks`` of ``k`` on ``grid``: the blocks and the dropped norm."""
+    return oracle._symmetry_blocks(_forms(k), grid)
+
+
+def _bounds(k, grid):
+    """``_row_bounds`` of ``k`` over every node of ``grid``: the bounds g and the cut, or None."""
+    pts, w = oracle._points(k.dim, grid)
+    return oracle._row_bounds(_forms(k), pts, w, len(w))
+
+
 class TestNystromSpectrum:
     def test_known_geometric_ladder(self):
         k = thermal_rho_single(mode_thermo(ModeQuench(1, 1), 1.0))
@@ -229,7 +245,7 @@ class TestTopKEigensolve:
     @pytest.mark.parametrize("kernel", ["rho", "sigma"])
     def test_top12_matches_dense_block_spectra(self, kernel):
         k, grid = self._kernel(kernel)
-        dense = np.concatenate([np.linalg.eigvalsh(b) for b in oracle._symmetry_blocks(k, grid)[0]])
+        dense = np.concatenate([np.linalg.eigvalsh(b) for b in _blocks(k, grid)[0]])
         dense = dense[np.argsort(-np.abs(dense))][:12]
         top = nystrom_spectrum(k, grid, top_k=12, with_error=False).eigenvalues
         assert np.abs(top - dense).max() <= 1e-13 * abs(dense[0])
@@ -245,7 +261,7 @@ class TestTopKEigensolve:
             assert m1.omega_f == pytest.approx(math.sqrt(6))
             k = thermal_rho_single(mode_thermo(m1, beta))
         grid = QuadratureGrid.for_kernel(k, n)
-        blocks = oracle._symmetry_blocks(k, grid)[0]
+        blocks = _blocks(k, grid)[0]
         assert any(len(b) > 12 and not b.any() for b in blocks)
         top = nystrom_spectrum(k, grid, top_k=12, with_error=False).eigenvalues
         dense = nystrom_spectrum(k, grid, with_error=False).eigenvalues[:12]
@@ -361,8 +377,9 @@ class TestTruncation:
         # K(x, x) = exp(+0.1 x^2)
         k = QuadraticKernel(1, 1.0, np.array([[0.5, -0.55], [-0.55, 0.5]]))
         grid = QuadratureGrid.make(32, 4.0)
-        with pytest.raises(DomainError):
-            trace_power(k, 1, grid)
+        for p in (1, 2, 3):
+            with pytest.raises(DomainError):
+                trace_power(k, p, grid)
         with pytest.raises(DomainError):
             nystrom_spectrum(k, grid, top_k=4)
 
@@ -497,12 +514,12 @@ class TestSymmetricAndGeneralRoutes:
         k, grid, route = self.CASES[case]
         if route == "refused":
             with pytest.raises(DomainError, match="asymmetric"):
-                oracle._symmetry_blocks(k, grid)
+                _forms(k)
             return
-        blocks, pruned = oracle._symmetry_blocks(k, grid)
+        blocks, pruned = _blocks(k, grid)
         assert len(blocks) == BLOCKS[route]
         # the blocks hold the kept nodes; the rest are the nodes whose row bound falls below the cut
-        g, cut = oracle._row_bounds(k, *oracle._points(k, grid))
+        g, cut = _bounds(k, grid)
         dropped = np.count_nonzero(g < cut)
         m = grid.n_points ** k.dim
         assert sum(len(b) for b in blocks) + dropped == m
@@ -516,9 +533,9 @@ class TestSymmetricAndGeneralRoutes:
         k, grid, route = self.CASES[case]
         if route == "refused":
             calls = _spy_assemble(monkeypatch)
-            for top_k in (None, 6):
+            for top_k, with_error in ((None, False), (6, False), (6, True)):
                 with pytest.raises(DomainError, match="asymmetric"):
-                    nystrom_spectrum(k, grid, top_k=top_k, with_error=False)
+                    nystrom_spectrum(k, grid, top_k=top_k, with_error=with_error)
             assert calls == []
             nystrom_spectrum(KERNEL_2D, grid, top_k=6, with_error=False)
             assert calls
@@ -541,9 +558,9 @@ class TestSymmetricAndGeneralRoutes:
         assert abs(value - ref[0]) <= 1e-12 * abs(ref[0])
         if route == "refused":
             calls = _spy_assemble(monkeypatch)
-            for p in (2, 3):
+            for p, with_error in ((2, False), (3, False), (3, True)):
                 with pytest.raises(DomainError, match="asymmetric"):
-                    trace_power(k, p, grid, with_error=False)
+                    trace_power(k, p, grid, with_error=with_error)
             assert calls == []
             trace_power(KERNEL_2D, 2, grid, with_error=False)
             assert calls
@@ -560,8 +577,8 @@ class TestSymmetricAndGeneralRoutes:
 
 def _assert_row_bound(k, grid):
     """max_s |S_w[r, s]| <= exp(g_r) on every node r, with S_w built from kernel_matrix."""
-    pts, w = oracle._points(k, grid)
-    g, _ = oracle._row_bounds(k, pts, w)
+    pts, w = oracle._points(k.dim, grid)
+    g, _ = _bounds(k, grid)
     d = k.dim
     # S_w = D^-1 W^1/2 K W^1/2 D with D = diag(exp(-e)), e(x) = x (Q_oo - Q_ii) x / 2
     e = np.einsum("ai,ij,aj->a", pts, (k.q[:d, :d] - k.q[d:, d:]) / 2, pts)
@@ -591,6 +608,9 @@ def _seeded_states():
 KERNEL_SIGMA_INDEFINITE = QuadraticKernel(2, 0.3, np.block([
     [np.diag([3.0, 1.0]), np.diag([0.3, 1.05])], [np.diag([0.3, 1.05]), np.diag([3.0, 1.0])]]))
 KERNEL_M_INDEFINITE = QuadraticKernel(1, 0.45, np.array([[0.02, 0.3], [0.3, -0.06]]))
+# Sigma indefinite on a kernel that keeps the exchange, whose pair the exponent averages
+KERNEL_SIGMA_INDEFINITE_X = QuadraticKernel(2, 0.3, np.block([
+    [np.array([[1.0, 0.1], [0.1, 1.0]]), 1.05 * np.eye(2)], [1.05 * np.eye(2), np.array([[1.0, 0.1], [0.1, 1.0]])]]))
 
 
 # the same quench at omega_min beta = 0.5 (omega_min = sqrt(6), the softer final frequency):
@@ -600,7 +620,7 @@ HOT_SIGMA = partial_transpose(coupled_state(QuenchSpec(3, 6, 3, 6), 0.5 / math.s
 
 def _max_diagonal(k, grid):
     """Largest diagonal entry of S_w: w_a K(x_a, x_a) = w_a norm exp(-x_a^T D x_a), D = sum of Q's blocks."""
-    pts, w = oracle._points(k, grid)
+    pts, w = oracle._points(k.dim, grid)
     d = k.dim
     q = k.q
     env = q[:d, :d] + q[:d, d:] + q[d:, :d] + q[d:, d:]
@@ -630,7 +650,7 @@ class TestPruning:
                 rho = coupled_state(spec, beta)
                 k = rho if kernel == "rho" else partial_transpose(rho)
                 grid = QuadratureGrid.for_kernel(k, n)
-                kept = sum(len(b) for b in oracle._symmetry_blocks(k, grid)[0])
+                kept = sum(len(b) for b in _blocks(k, grid)[0])
                 top = nystrom_spectrum(k, grid, top_k=12, with_error=False).eigenvalues
                 traces = [trace_power(k, p, grid, with_error=False)[0] for p in (2, 3)]
                 results.append((kept, top, traces))
@@ -652,7 +672,7 @@ class TestPruning:
             rho = coupled_state(spec, beta)
             states += [(k, QuadratureGrid.for_kernel(k, n))
                        for k in (rho, partial_transpose(rho)) for n in (48, 56)]
-        pruned = [oracle._symmetry_blocks(k, grid)[1] for k, grid in routes + states]
+        pruned = [_blocks(k, grid)[1] for k, grid in routes + states]
         for (k, grid), dropped in zip(routes + states, pruned):
             assert dropped <= 2.0 ** -53 * _max_diagonal(k, grid)
         assert all(pruned[len(routes):])
@@ -661,7 +681,7 @@ class TestPruning:
     def test_anchor_keeps_fewer_rows_than_the_fixed_cut(self):
         # a fixed cut of 1e-24 of the largest diagonal entry kept 433, 421, 404 and 416 rows
         grid = QuadratureGrid.for_kernel(SIGMA_2D, 56)
-        sizes = [len(b) for b in oracle._symmetry_blocks(SIGMA_2D, grid)[0]]
+        sizes = [len(b) for b in _blocks(SIGMA_2D, grid)[0]]
         assert len(sizes) == 4
         assert all(size < old for size, old in zip(sizes, (433, 421, 404, 416)))
 
@@ -671,7 +691,7 @@ class TestPruning:
         k = RHO_1D if dim == 1 else RHO_2D
         grid = QuadratureGrid.for_kernel(k, n)
         m = n ** dim
-        assert sum(len(b) for b in oracle._symmetry_blocks(k, grid)[0]) < m
+        assert sum(len(b) for b in _blocks(k, grid)[0]) < m
         ev = nystrom_spectrum(k, grid, with_error=False).eigenvalues
         self._unpruned(monkeypatch)
         ref = nystrom_spectrum(k, grid, with_error=False).eigenvalues
@@ -679,12 +699,14 @@ class TestPruning:
         assert np.abs(ev - ref).max() <= 1e-14 * abs(ref[0])
 
     @pytest.mark.parametrize("k, half_width", [(KERNEL_SIGMA_INDEFINITE, 4.5),
-                                               (KERNEL_M_INDEFINITE, 2.0)],
-                             ids=["sigma_indefinite", "m_indefinite"])
+                                               (KERNEL_M_INDEFINITE, 2.0),
+                                               (KERNEL_SIGMA_INDEFINITE_X, 2.5)],
+                             ids=["sigma_indefinite", "m_indefinite", "sigma_indefinite_exchange"])
     def test_no_pruning_without_a_bound(self, k, half_width):
+        assert _forms(k).exchange == (k is KERNEL_SIGMA_INDEFINITE_X)
         grid = QuadratureGrid.make(32, half_width)
-        assert oracle._row_bounds(k, *oracle._points(k, grid)) is None
-        blocks, pruned = oracle._symmetry_blocks(k, grid)
+        assert _bounds(k, grid) is None
+        blocks, pruned = _blocks(k, grid)
         assert sum(len(b) for b in blocks) == grid.n_points ** k.dim and pruned == 0.0
         ev = nystrom_spectrum(k, grid, with_error=False).eigenvalues
         ref, traces = _reference(k, grid)
@@ -695,20 +717,53 @@ class TestPruning:
 
     def test_error_estimates_add_the_dropped_norm(self, monkeypatch):
         grid = QuadratureGrid.for_kernel(RHO_1D, 40)
-        assert oracle._symmetry_blocks(RHO_1D, grid)[1] > 0
+        assert _blocks(RHO_1D, grid)[1] > 0
         spectrum = nystrom_spectrum(RHO_1D, grid, top_k=6).error_estimate
         traces = [trace_power(RHO_1D, p, grid) for p in (2, 3)]
         # a dropped norm |E| = 1e-3 on the estimated grid and on its refinement
         real = oracle._symmetry_blocks
         monkeypatch.setattr(oracle, "_symmetry_blocks", lambda *args: (real(*args)[0], 1e-3))
         assert nystrom_spectrum(RHO_1D, grid, top_k=6).error_estimate == pytest.approx(
-            spectrum - real(RHO_1D, grid)[1] + 1e-3, rel=1e-12, abs=0)
+            spectrum - real(_forms(RHO_1D), grid)[1] + 1e-3, rel=1e-12, abs=0)
         norm = math.sqrt(traces[0][0])
         for p, (value, err) in zip((2, 3), traces):
             value_e, err_e = trace_power(RHO_1D, p, grid)
             assert value_e == value
             # p |E| (|S| + |E|)^(p - 1) with |S| the Frobenius norm of the pruned S_w
             assert err_e - err == pytest.approx(p * 1e-3 * (norm + 1e-3) ** (p - 1), rel=1e-6, abs=0)
+
+
+class TestRepresentatives:
+    """The representatives' nodes and weights, read off the grid's axes, are those of the tensor grid."""
+
+    @pytest.mark.parametrize("n", [32, 33], ids=["even_n", "odd_n"])
+    @pytest.mark.parametrize("k", [KERNEL_1D, KERNEL_2D, RHO_2D], ids=["1d", "2d", "2d_exchange"])
+    def test_nodes_and_weights_bit_equal_to_points(self, k, n, monkeypatch):
+        f = _forms(k)
+        assert f.exchange == (k is RHO_2D)
+        grid = QuadratureGrid.make(n, 4.5)
+        # the points and weights ``_symmetry_blocks`` bounds the rows of, before any is dropped
+        seen = []
+        row_bounds = oracle._row_bounds
+
+        def spy(f, pts, w, m):
+            seen.append((pts, w, m))
+            return row_bounds(f, pts, w, m)
+
+        monkeypatch.setattr(oracle, "_row_bounds", spy)
+        oracle._symmetry_blocks(f, grid)
+        [(pts, w, m)] = seen
+        all_pts, all_w = oracle._points(k.dim, grid)
+        assert m == len(all_w) == n ** k.dim
+        reps = np.ravel_multi_index(tuple(oracle._orbits(n, k.dim, f.exchange)[1].T), (n,) * k.dim)
+        assert np.array_equal(pts, all_pts[reps]) and np.array_equal(w, all_w[reps])
+        # one representative per orbit: its lowest node index
+        nodes = np.arange(m)
+        perms = [nodes, nodes[::-1]]
+        if f.exchange:
+            exchange = nodes.reshape(n, n).T.ravel()
+            perms += [exchange, exchange[::-1]]
+        assert sorted(reps) == np.flatnonzero(np.min(perms, axis=0) == nodes).tolist()
 
 
 def _character_blocks(k, grid, route):
@@ -719,7 +774,7 @@ def _character_blocks(k, grid, route):
     centre and by lowest node within each; the kept ones are those whose row
     bound reaches the cut of ``_row_bounds``.
     """
-    pts, w = oracle._points(k, grid)
+    pts, w = oracle._points(k.dim, grid)
     d = k.dim
     e = np.einsum("ai,ij,aj->a", pts, (k.q[:d, :d] - k.q[d:, d:]) / 2, pts)
     sw, _ = kernel_matrix(k, grid)
@@ -733,7 +788,7 @@ def _character_blocks(k, grid, route):
         perms += [exchange, exchange[::-1]]
     perms = np.array(perms)
     reps = np.flatnonzero(perms.min(axis=0) == nodes)
-    bounds = oracle._row_bounds(k, pts, w)
+    bounds = _bounds(k, grid)
     if bounds is not None:
         reps = reps[bounds[0][reps] >= bounds[1]]
 
@@ -786,7 +841,7 @@ class TestTiles:
         rows = len(ref[0])
         for tile in self._tiles(rows):
             monkeypatch.setattr(oracle, "_TILE_ENTRIES", tile * rows)
-            blocks = oracle._symmetry_blocks(k, grid)[0]
+            blocks = _blocks(k, grid)[0]
             assert [b.shape for b in blocks] == [r.shape for r in ref]
             scale = max(np.abs(r).max() for r in ref if r.size)
             for b, r in zip(blocks, ref):
@@ -822,7 +877,7 @@ def test_package_kernels_match_the_reference(parity, state, kernel, data):
     rho = coupled_state(*state)
     k = rho if kernel == "rho" else partial_transpose(rho)
     grid = QuadratureGrid.for_kernel(k, data.draw(st.sampled_from(range(32 + parity, 41, 2))))
-    assert len(oracle._symmetry_blocks(k, grid)[0]) == 4
+    assert len(_blocks(k, grid)[0]) == 4
     ref, traces = _reference(k, grid)
     dense = nystrom_spectrum(k, grid, with_error=False).eigenvalues
     assert np.abs(np.sort(dense) - ref).max() <= 1e-12 * np.abs(ref).max()
