@@ -36,8 +36,12 @@ nodes, with the error estimate (a second solve on 400 nodes).
 The ``ermakov`` entries time the two solver calls in the shape of the
 benchmark's ``verify`` ops: ``solve_real`` of the sudden quench 1.3 -> 2.7
 over t_max = 20 / 2.7 (about three periods) and ``solve_euclidean`` of the
-same quench up to beta = 2, each at the default tol and followed by its six
-dense-output queries.
+same quench up to beta = 2, each at the default tol and followed by the
+dense-output queries of its op: b at six times, and b and gamma at six
+betas.  ``ermakov_verify`` times the same two ops on the benchmark's own
+``verify`` draws (``bench/workloads.py``, imported, not changed): seed 7,
+cycles 0-149, each draw's best of VERIFY_REPEATS calls, and reports the
+median over the draws per op class.
 The ``separability`` entries time the separability layer on the inputs the
 CLI gives it: ``critical_temperature_sqm`` of the same 3->6/3->6 quench (one
 scalar root), ``critical_temperature`` on fig4b's 200 frequency pairs,
@@ -87,6 +91,7 @@ BETA_MAX = 2.0
 GRID_POINTS = (56, 200, 400)
 NYSTROM1D_POINTS = 200
 SEPARABILITY_CALLS = 50
+VERIFY_SEED, VERIFY_CYCLES, VERIFY_REPEATS = 7, 150, 5
 FIG4A_X = np.linspace(0.05, 5.0, 400)
 FIG4A_GRID = np.meshgrid(np.linspace(0.05, 3.0, 61), np.linspace(0.05, 3.0, 61), indexing="ij")
 FIG4B_J = np.linspace(0.5, 10.0, 200)
@@ -160,6 +165,27 @@ def _kept(k, grid) -> tuple[list, float]:
     pts, w = oracle._points(f.dim, grid)
     max_diag = f.norm * (w * np.exp(-oracle._quad(pts, f.diag))).max()
     return blocks, pruned / max_diag
+
+
+def _verify_draws() -> dict:
+    """Median over the benchmark's ``verify`` draws of each Ermakov op's best time, in ms."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    best = {}
+    for index in range(VERIFY_CYCLES):
+        for op in workloads.cycle("verify", VERIFY_SEED, index):
+            if op.kind not in ("solve_real", "solve_euclidean"):
+                continue
+            times = []
+            for _ in range(VERIFY_REPEATS):
+                t0 = time.perf_counter()
+                workloads.run_library_check(oq, op)
+                times.append((time.perf_counter() - t0) * 1e3)
+            best.setdefault(op.kind, []).append(min(times))
+    return {"seed": VERIFY_SEED, "cycles": VERIFY_CYCLES, "repeats": VERIFY_REPEATS,
+            **{kind: {"median_best_ms": statistics.median(ms), "min_best_ms": min(ms),
+                      "max_best_ms": max(ms)} for kind, ms in best.items()}}
 
 
 class _FirstTile(Exception):
@@ -274,6 +300,7 @@ def main() -> None:
                 "layers": _layers(hot, hot_grid)},
         "calls": {name: _timed(fn) for name, fn in calls.items()},
         "ermakov": {name: _timed(fn) for name, fn in ermakov.items()},
+        "ermakov_verify": _verify_draws(),
         "separability": {name: {**_timed(fn, calls=SEPARABILITY_CALLS), "root_passes": _root_passes(fn)}
                          for name, fn in separability.items()},
     }

@@ -100,8 +100,8 @@ def negativity(zeta1, zeta2):
     n = 1.0
     for zeta in (zeta1, zeta2):
         z = np.asarray(zeta, dtype=float)
-        if np.any(np.abs(z) > 1 + 1e-12):
-            raise DomainError(f"|zeta| must not exceed 1, got {zeta}")
+        if not np.all(np.abs(z) <= 1 + 1e-12):
+            raise DomainError(f"zeta must be finite with |zeta| <= 1, got {zeta}")
         az = np.minimum(np.abs(z), 1.0)
         with np.errstate(divide="ignore"):
             n = n * np.where(z < 0, (1 + az) / (1 - az), 1.0)

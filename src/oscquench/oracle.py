@@ -634,6 +634,8 @@ def mehler_check(t: float, x: float, y: float, terms: int = 80) -> MehlerCheck:
     """
     if terms < 1 or terms > _MEHLER_MAX_TERMS:
         raise DomainError(f"terms must lie in [1, {_MEHLER_MAX_TERMS}], got {terms}")
+    if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"t, x and y must be finite, got {t}, {x}, {y}")
     if abs(t) >= 0.5:
         return MehlerCheck(lhs=math.nan, rhs=math.inf, tail_bound=math.inf, diverges=True)
     # H_n(x) and H_n(y) in one recurrence on Python floats: the IEEE operations of

@@ -149,6 +149,11 @@ class TestDenseOutput:
             sol.b_at(self.T + 1e-6)
         with pytest.raises(DomainError):
             sol.gamma_at([-1e-6, 1.0])
+        for s in (sol, sol_e):
+            with pytest.raises(DomainError, match="finite"):
+                s.b_at(math.nan)
+            with pytest.raises(DomainError, match="finite"):
+                s.db_at([1.0, math.nan])
 
     def test_tol_min_reaches_rounding_floor_without_warnings(self):
         with warnings.catch_warnings():
@@ -164,8 +169,9 @@ class TestDenseOutput:
 @pytest.mark.parametrize("wi, wf, t_max", [(2.255013606652227, 0.7251563274048723, 0.15543414727263064),
                                             (1.02113752910553, 0.5778630890800708, 0.4888084943649635)])
 def test_query_in_a_last_step_whose_length_rounds_off_t_max(wi, wf, t_max):
-    # the run clamped its last step to t_max, and t[k] + (t_max - t[k]) rounds off t_max:
-    # taking that step again from t[k] with that length would end elsewhere
+    # the run clamped its last step to t_max, and t[k] + (t_max - t[k]) rounds off t_max;
+    # the extension is built from the stages the run took, so these queries read that
+    # clamped step as it was taken
     sol = solve_real(FrequencySchedule.sudden(wi, wf), t_max)
     t = sol.t
     k = len(t) - 2
@@ -173,6 +179,28 @@ def test_query_in_a_last_step_whose_length_rounds_off_t_max(wi, wf, t_max):
     ts = np.linspace(t[k], t[k + 1], 5)
     assert np.abs(np.array([sol.b_at(x) for x in ts]) - sudden_scale_real(wi, wf, ts)).max() < 1e-12
     assert np.abs(sol.gamma_at(ts) - sudden_phase_real(wi, wf, ts)).max() < 1e-12
+
+
+def test_queries_cost_three_evaluations_per_queried_step(monkeypatch):
+    # the continuous extension of a queried step is built once, from the run's own stages:
+    # three more right-hand-side evaluations per step a query lands in, none on a repeat
+    calls = []
+    omega_at = FrequencySchedule.omega_at
+
+    def counted(self, t):
+        calls.append(t)
+        return omega_at(self, t)
+
+    monkeypatch.setattr(FrequencySchedule, "omega_at", counted)
+    t_max = 7.4
+    sol = solve_real(FrequencySchedule.sinusoidal(1.3, 2.7, 0.4), t_max)
+    ts = [t_max * k / 6 for k in range(1, 7)]
+    steps = {min(int(np.searchsorted(sol.t, x)) - 1, len(sol.t) - 2) for x in ts}
+    for expected in (3 * len(steps), 0):
+        calls.clear()
+        for x in ts:
+            sol.b_at(x)
+        assert len(calls) == expected
 
 
 class TestSolveEuclidean:

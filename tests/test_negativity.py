@@ -71,6 +71,13 @@ class TestNegativity:
     def test_domain(self):
         with pytest.raises(DomainError):
             negativity(1.5, 0.0)
+        # a NaN must not read as a separable 0
+        with pytest.raises(DomainError, match="finite"):
+            negativity(math.nan, 0.3)
+        with pytest.raises(DomainError, match="finite"):
+            negativity([math.nan, -0.2], [0.1, 0.1])
+        with pytest.raises(DomainError, match="finite"):
+            negativity(0.1, -math.inf)
 
 
 class TestPTMoments:

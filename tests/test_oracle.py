@@ -924,6 +924,13 @@ class TestMehler:
         with pytest.raises(DomainError):
             mehler_check(0.2, 0.0, 0.0, 121)
 
+    @pytest.mark.parametrize("t, x, y", [(math.nan, 0.1, 0.2), (0.1, math.inf, 0.2),
+                                         (0.1, 0.2, -math.inf), (math.inf, 0.0, 0.0)])
+    def test_non_finite_input_refused(self, t, x, y):
+        # refused, not summed: a NaN t would otherwise report an exact sum (tail_bound 0)
+        with pytest.raises(DomainError, match="finite"):
+            mehler_check(t, x, y)
+
     @staticmethod
     def _two_call_lhs(t, x, y, terms):
         hx = hermite_all(terms - 1, np.asarray(x, dtype=float))
